@@ -16,12 +16,11 @@
 //!   threads on socket 1 pay remote penalties on reads and persists and
 //!   use socket 1's own cache hierarchy.
 
-use std::collections::BTreeMap;
-
 use cpucache::{CacheSystem, FlushMode, HitLevel};
 use imc::{DramController, PersistWait, PmController};
 use simbase::{
-    clock::ThreadClock, Addr, ByteCounter, Cycles, SplitMix64, CACHELINE_BYTES, XPLINE_BYTES,
+    clock::ThreadClock, Addr, AddrMap, ByteCounter, Cycles, SplitMix64, CACHELINE_BYTES,
+    XPLINE_BYTES,
 };
 use xpmedia::SparseStore;
 
@@ -110,15 +109,6 @@ impl HwThread {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
-struct FlushRecord {
-    issued: Cycles,
-    /// `true` for cacheline write-back flushes (`clwb`/`clflushopt`);
-    /// `false` for non-temporal stores, which never get the relaxed
-    /// `sfence` treatment (Figure 7: nt-store RAP persists on G2).
-    was_flush: bool,
-}
-
 /// Garbage-collection threshold for the transient per-cacheline maps.
 const MAP_GC_THRESHOLD: usize = 1 << 20;
 
@@ -144,10 +134,11 @@ pub struct Machine {
     pm: PmController,
     dram: DramController,
     persistent: SparseStore,
-    /// Ordered so that iteration (crash images, quiesce folds) is
-    /// address-ordered and therefore identical across processes; the
-    /// determinism contract (DESIGN.md) bans unordered maps in sim state.
-    overlay: BTreeMap<u64, [u8; 64]>,
+    /// Cacheline -> store data not yet accepted into the ADR domain.
+    /// Whole-map reads (crash images, quiesce folds) go through
+    /// `AddrMap`'s address-ordered accessors, so they are identical across
+    /// processes (the determinism contract, DESIGN.md §12).
+    overlay: AddrMap<[u8; 64]>,
     dram_image: SparseStore,
     threads: Vec<HwThread>,
     /// Hardware threads per (socket, core).
@@ -155,23 +146,14 @@ pub struct Machine {
     next_core: Vec<usize>,
     /// Cacheline -> completion time of an in-flight fill (prefetch or
     /// demand), for prefetch-timing overlap.
-    inflight_fills: BTreeMap<u64, Cycles>,
-    /// Cacheline -> most recent invalidating flush, for the sfence load
-    /// bypass and persist-wait decisions. Only records with
-    /// `was_flush == true` are stored: an nt-store record is behaviorally
-    /// identical to an absent one (both mean "wait out the full pipeline,
-    /// no load bypass"), so nt-stores *remove* entries instead of
-    /// inserting tombstones — and when `flushes_in_recent` is zero the
-    /// whole map is known empty and the hot paths skip it entirely.
-    recent_flush: BTreeMap<u64, FlushRecord>,
-    /// Number of entries in `recent_flush` (all have `was_flush == true`).
-    flushes_in_recent: usize,
-    /// Conservative inclusive bounds on the keys in `recent_flush`:
-    /// widened on insert, left alone on remove, reset on clear. A key
-    /// outside the bounds is provably absent, which lets streaming loads
-    /// (monotonically increasing addresses, flushes always behind the
-    /// read front) skip the map walk entirely.
-    flush_key_bounds: Option<(u64, u64)>,
+    inflight_fills: AddrMap<Cycles>,
+    /// Cacheline -> issue time of its most recent invalidating flush
+    /// (`clwb` on G1, `clflushopt`, `clflush`), for the sfence load bypass
+    /// and persist-wait decisions. A non-temporal store removes the
+    /// line's record: nt-stores never get the relaxed `sfence` treatment
+    /// (Figure 7: nt-store RAP persists on G2), which is exactly how an
+    /// absent record behaves.
+    recent_flush: AddrMap<Cycles>,
     /// Prune `inflight_fills` when it reaches this length. Doubled after
     /// each sweep (amortized O(1)); only entries already complete for
     /// *every* thread's clock are dropped, which no lookup can
@@ -211,15 +193,13 @@ impl Machine {
             pm,
             dram,
             persistent: SparseStore::new(),
-            overlay: BTreeMap::new(),
+            overlay: AddrMap::new(),
             dram_image: SparseStore::new(),
             threads: Vec::new(),
             core_occupancy,
             next_core: vec![0; 2],
-            inflight_fills: BTreeMap::new(),
-            recent_flush: BTreeMap::new(),
-            flushes_in_recent: 0,
-            flush_key_bounds: None,
+            inflight_fills: AddrMap::new(),
+            recent_flush: AddrMap::new(),
             inflight_gc_watermark: INFLIGHT_GC_MIN,
             demand: ByteCounter::new(),
             pm_next: PM_BASE,
@@ -378,7 +358,7 @@ impl Machine {
                     let cl = a.cacheline();
                     let off = a.offset_in_cacheline();
                     let chunk = (buf.len() - pos).min(CACHELINE_BYTES as usize - off);
-                    if let Some(bytes) = self.overlay.get(&cl.0) {
+                    if let Some(bytes) = self.overlay.get(cl.0) {
                         buf[pos..pos + chunk].copy_from_slice(&bytes[off..off + chunk]);
                     }
                     pos += chunk;
@@ -394,7 +374,7 @@ impl Machine {
             let cl = a.cacheline();
             let off = a.offset_in_cacheline();
             let chunk = (data.len() - pos).min(CACHELINE_BYTES as usize - off);
-            let entry = self.overlay.entry(cl.0).or_insert_with(|| {
+            let entry = self.overlay.get_or_insert_with(cl.0, || {
                 let mut init = [0u8; 64];
                 self.persistent.read(cl, &mut init);
                 init
@@ -407,7 +387,7 @@ impl Machine {
     /// Moves the overlay entry for `cl` into the persistent image (the
     /// data reached the ADR domain).
     fn apply_persist(&mut self, cl: Addr) {
-        if let Some(bytes) = self.overlay.remove(&cl.0) {
+        if let Some(bytes) = self.overlay.remove(cl.0) {
             self.persistent.write(cl, &bytes);
         }
     }
@@ -477,7 +457,7 @@ impl Machine {
     fn issue_prefetches(&mut self, socket: usize, core: usize, now: Cycles, list: &[Addr]) {
         for &pf in list {
             let cl = pf.cacheline();
-            if let Some(&done) = self.inflight_fills.get(&cl.0) {
+            if let Some(&done) = self.inflight_fills.get(cl.0) {
                 if done > now {
                     continue;
                 }
@@ -500,7 +480,7 @@ impl Machine {
                 .map(|t| t.clock.now())
                 .min()
                 .unwrap_or(now);
-            self.inflight_fills.retain(|_, &mut done| done > horizon);
+            self.inflight_fills.retain(|_, &done| done > horizon);
             self.inflight_gc_watermark = (self.inflight_fills.len() * 2).max(INFLIGHT_GC_MIN);
             // Same horizon argument holds for the controller's in-flight
             // write records: every future call passes a thread clock, and
@@ -511,9 +491,9 @@ impl Machine {
 
     /// Offers the PM controller a chance to collect completed in-flight
     /// write records (see [`imc::PmController::gc_inflight`] for why the
-    /// min-over-clocks horizon is exact). Called from the store-side hot
-    /// paths, which never issue prefetches and would otherwise let the
-    /// map grow for an entire write phase.
+    /// min-over-clocks horizon is exact). Called at the end of every
+    /// nt-store and flush, which never issue prefetches and would
+    /// otherwise let the map grow for an entire write phase.
     fn gc_pm_inflight(&mut self) {
         let Some(horizon) = self.threads.iter().map(|t| t.clock.now()).min() else {
             return;
@@ -525,34 +505,9 @@ impl Machine {
     /// separated from the flush only by `sfence`s wait for the WPQ drain;
     /// reads ordered by an `mfence` wait out the whole pipeline, as do
     /// reads after non-temporal stores.
-    /// Returns `true` if `recent_flush` could hold `key` — a cheap range
-    /// check against the conservative key bounds, so streaming access
-    /// patterns never walk the map for provably absent keys.
-    #[inline]
-    fn recent_flush_may_contain(&self, key: u64) -> bool {
-        match self.flush_key_bounds {
-            Some((lo, hi)) => (lo..=hi).contains(&key),
-            None => false,
-        }
-    }
-
-    /// Records `key` into the `recent_flush` bounds.
-    #[inline]
-    fn widen_flush_key_bounds(&mut self, key: u64) {
-        self.flush_key_bounds = Some(match self.flush_key_bounds {
-            Some((lo, hi)) => (lo.min(key), hi.max(key)),
-            None => (key, key),
-        });
-    }
-
     fn persist_wait_for(&self, tid: ThreadId, cl: Addr) -> PersistWait {
-        if self.flushes_in_recent == 0 || !self.recent_flush_may_contain(cl.0) {
-            return PersistWait::Full;
-        }
-        match self.recent_flush.get(&cl.0) {
-            Some(rec) if rec.was_flush && rec.issued > self.threads[tid.0].last_mfence => {
-                PersistWait::Drain
-            }
+        match self.recent_flush.get(cl.0) {
+            Some(&issued) if issued > self.threads[tid.0].last_mfence => PersistWait::Drain,
             _ => PersistWait::Full,
         }
     }
@@ -561,17 +516,13 @@ impl Machine {
     /// `mfence`-ordered behind a very recent invalidating flush can still
     /// be served from the pre-invalidation cached copy.
     fn load_bypasses_flush(&self, tid: ThreadId, cl: Addr, now: Cycles) -> bool {
-        if !self.cfg.sfence_load_bypass
-            || self.flushes_in_recent == 0
-            || !self.recent_flush_may_contain(cl.0)
-        {
+        if !self.cfg.sfence_load_bypass {
             return false;
         }
-        match self.recent_flush.get(&cl.0) {
-            Some(rec) => {
-                rec.was_flush
-                    && rec.issued > self.threads[tid.0].last_mfence
-                    && now < rec.issued + self.cfg.load_bypass_window
+        match self.recent_flush.get(cl.0) {
+            Some(&issued) => {
+                issued > self.threads[tid.0].last_mfence
+                    && now < issued + self.cfg.load_bypass_window
             }
             None => false,
         }
@@ -593,7 +544,7 @@ impl Machine {
             HitLevel::Miss => {
                 // In-flight fill (e.g. from a prefetch): wait for it
                 // instead of issuing a second memory read.
-                let fill = self.inflight_fills.get(&cl.0).copied().filter(|&d| d > now);
+                let fill = self.inflight_fills.get(cl.0).copied().filter(|&d| d > now);
                 match fill {
                     Some(done) => (done - now).max(self.cfg.cache.l1_latency),
                     None => {
@@ -616,7 +567,7 @@ impl Machine {
                     .expect("hit level has a latency");
                 // A prefetched line may be resident (metadata) but still in
                 // flight; pay the remaining fill time.
-                match self.inflight_fills.get(&cl.0).copied().filter(|&d| d > now) {
+                match self.inflight_fills.get(cl.0).copied().filter(|&d| d > now) {
                     Some(done) => base.max(done - now),
                     None => base,
                 }
@@ -822,9 +773,7 @@ impl Machine {
                     // An nt-store supersedes any earlier flush record for
                     // the line (no load bypass, full persist wait — the
                     // same as having no record at all).
-                    if self.flushes_in_recent > 0 && self.recent_flush.remove(&cl.0).is_some() {
-                        self.flushes_in_recent -= 1;
-                    }
+                    self.recent_flush.remove(cl.0);
                 }
                 MemRegion::Dram => {
                     let (accept, _) = self.dram.write(now, cl);
@@ -850,7 +799,7 @@ impl Machine {
                     // very bytes the store overwrites).
                     for (i, cl) in simbase::addr::cachelines_covering(addr, len).enumerate() {
                         self.fault_stats.wpq_accepts += 1;
-                        self.overlay.remove(&cl.0);
+                        self.overlay.remove(cl.0);
                         self.persistent
                             .write(cl, &data[i * CACHELINE_BYTES as usize..][..64]);
                     }
@@ -863,6 +812,7 @@ impl Machine {
             }
             MemRegion::Dram => self.dram_image.write(addr, data),
         }
+        self.gc_pm_inflight();
     }
 
     /// Batched non-temporal stores: writes the 64-byte pattern `line` to
@@ -909,12 +859,10 @@ impl Machine {
                 MemRegion::Pm => {
                     let ticket = self.pm.write(now, cl);
                     max_accept = max_accept.max(ticket.accept + remote_extra);
-                    if self.flushes_in_recent > 0 && self.recent_flush.remove(&cl.0).is_some() {
-                        self.flushes_in_recent -= 1;
-                    }
+                    self.recent_flush.remove(cl.0);
                     if fast_persist {
                         self.fault_stats.wpq_accepts += 1;
-                        self.overlay.remove(&cl.0);
+                        self.overlay.remove(cl.0);
                         self.persistent.write(cl, line);
                     } else {
                         self.overlay_write(cl, line);
@@ -1015,17 +963,7 @@ impl Machine {
                         accept = Some(a + remote_extra);
                     }
                 }
-                let prev = self.recent_flush.insert(
-                    cl.0,
-                    FlushRecord {
-                        issued: now,
-                        was_flush: true,
-                    },
-                );
-                if prev.is_none() {
-                    self.flushes_in_recent += 1;
-                }
-                self.widen_flush_key_bounds(cl.0);
+                self.recent_flush.insert(cl.0, now);
             }
             let t = &mut self.threads[tid.0];
             t.clock.advance(issue);
@@ -1091,17 +1029,7 @@ impl Machine {
                 }
             }
             if mode == FlushMode::Invalidate {
-                let prev = self.recent_flush.insert(
-                    cl.0,
-                    FlushRecord {
-                        issued: now,
-                        was_flush: true,
-                    },
-                );
-                if prev.is_none() {
-                    self.flushes_in_recent += 1;
-                }
-                self.widen_flush_key_bounds(cl.0);
+                self.recent_flush.insert(cl.0, now);
             }
         }
         let issue = self.cfg.flush_issue + self.ht_extra(socket, core);
@@ -1112,13 +1040,12 @@ impl Machine {
             t.sb_push(1);
         }
         self.gc_recent_flush();
+        self.gc_pm_inflight();
     }
 
     fn gc_recent_flush(&mut self) {
         if self.recent_flush.len() >= MAP_GC_THRESHOLD {
             self.recent_flush.clear();
-            self.flushes_in_recent = 0;
-            self.flush_key_bounds = None;
         }
     }
 
@@ -1424,8 +1351,6 @@ impl Machine {
         self.inflight_fills.clear();
         self.inflight_gc_watermark = INFLIGHT_GC_MIN;
         self.recent_flush.clear();
-        self.flushes_in_recent = 0;
-        self.flush_key_bounds = None;
         for t in &mut self.threads {
             t.outstanding_accept = 0;
             // Power loss empties the store buffers without completing an
@@ -1442,10 +1367,9 @@ impl Machine {
         self.caches = (0..2)
             .map(|_| CacheSystem::new(cfg.cache.clone(), cfg.cores_per_socket, cfg.prefetch))
             .collect();
-        // Flush overlay contents into the persistent image so functional
-        // state is preserved across the reset.
-        let entries: Vec<u64> = self.overlay.keys().copied().collect();
-        for cl in entries {
+        // Flush overlay contents into the persistent image, in address
+        // order, so functional state is preserved across the reset.
+        for cl in self.overlay.sorted_keys() {
             self.apply_persist(Addr(cl));
         }
         self.pm.reset_all();
@@ -1453,8 +1377,6 @@ impl Machine {
         self.inflight_fills.clear();
         self.inflight_gc_watermark = INFLIGHT_GC_MIN;
         self.recent_flush.clear();
-        self.flushes_in_recent = 0;
-        self.flush_key_bounds = None;
         self.demand.reset();
         self.metrics_baseline = MachineMetrics::default();
         for t in &mut self.threads {
@@ -1578,7 +1500,7 @@ impl Machine {
     pub fn poison_line(&mut self, addr: Addr) {
         let cl = addr.cacheline();
         self.pm.poison_line(cl);
-        self.overlay.remove(&cl.0);
+        self.overlay.remove(cl.0);
         self.persistent.write(cl, &[POISON_FILL; 64]);
     }
 
@@ -1613,7 +1535,7 @@ impl Machine {
     pub fn scrub_pm(&mut self, start: Addr, len: u64) -> ScrubOutcome {
         let repaired = self.pm.scrub_range(start, len);
         for &cl in &repaired {
-            self.overlay.remove(&cl);
+            self.overlay.remove(cl);
             self.persistent.write(Addr(cl), &[0u8; 64]);
         }
         ScrubOutcome {
@@ -1627,12 +1549,12 @@ impl Machine {
     /// domain. Every subset of the uncertain set surviving is a legal
     /// post-crash state at this instant (see [`CrashImage`]).
     pub fn capture_crash_image(&self) -> CrashImage {
-        // BTreeMap iteration is already address-ordered, so the uncertain
-        // set has a canonical encoding without an explicit sort.
+        // Address order gives the uncertain set a canonical encoding.
         let uncertain: Vec<(u64, [u8; 64])> = self
             .overlay
-            .iter()
-            .map(|(&cl, &bytes)| (cl, bytes))
+            .sorted_entries()
+            .into_iter()
+            .map(|(cl, &bytes)| (cl, bytes))
             .collect();
         CrashImage {
             cfg: self.cfg.clone(),
@@ -2117,6 +2039,61 @@ mod tests {
         let mut kept = kept;
         let t2 = kept.spawn(0);
         assert_eq!(kept.load_u64(t2, b), 20);
+    }
+
+    #[test]
+    fn crash_image_uncertain_set_is_address_ordered() {
+        let mut m = g1();
+        let t = m.spawn(0);
+        let base = m.alloc_pm(8 * 4096, 4096);
+        // Unflushed stores over four pages, deliberately out of order.
+        let lines = [
+            (4u64, 3u64),
+            (0, 60),
+            (2, 1),
+            (4, 0),
+            (0, 2),
+            (3, 33),
+            (2, 40),
+        ];
+        for &(page, line) in &lines {
+            m.store_u64(t, Addr(base.0 + page * 4096 + line * 64), page * 100 + line);
+        }
+        let img = m.capture_crash_image();
+        let keys = img.uncertain_lines();
+        assert_eq!(keys.len(), lines.len());
+        assert!(
+            keys.windows(2).all(|w| w[0] < w[1]),
+            "uncertain lines strictly ascending: {keys:x?}"
+        );
+    }
+
+    #[test]
+    fn single_nt_stores_and_flushes_collect_controller_inflight_records() {
+        let mut m = g1();
+        let t = m.spawn(0);
+        let n = 10_000u64;
+        let a = m.alloc_pm(n * 64, 64);
+        for i in 0..n {
+            m.nt_store(t, a.add_cachelines(i), &i.to_le_bytes());
+        }
+        m.sfence(t);
+        assert!(
+            m.pm.inflight_len() < 2 * INFLIGHT_GC_MIN,
+            "nt-stores: {} records still held",
+            m.pm.inflight_len()
+        );
+        let b = m.alloc_pm(n * 64, 64);
+        for i in 0..n {
+            m.store_u64(t, b.add_cachelines(i), i);
+            m.clflushopt(t, b.add_cachelines(i));
+        }
+        m.sfence(t);
+        assert!(
+            m.pm.inflight_len() < 2 * INFLIGHT_GC_MIN,
+            "flushes: {} records still held",
+            m.pm.inflight_len()
+        );
     }
 
     #[test]

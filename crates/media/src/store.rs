@@ -6,9 +6,7 @@
 //! buffers. Unwritten memory reads as zero, matching freshly-allocated DAX
 //! pages.
 
-use std::collections::BTreeMap;
-
-use simbase::Addr;
+use simbase::{Addr, AddrMap};
 
 /// Size of one allocation unit in the sparse store.
 const PAGE_BYTES: u64 = 4096;
@@ -18,22 +16,17 @@ const PAGE_BYTES: u64 = 4096;
 /// Used both as the persistent media image (the bytes that survive a crash)
 /// and as the volatile DRAM image in the machine model.
 ///
-/// Page buffers live in an arena (`slabs`) addressed through an ordered
-/// index, with a one-slot hint remembering the last page touched. Streaming
-/// access patterns (64 consecutive cacheline writes per page) resolve
-/// through the hint without walking the index; the hint never affects
-/// results, only how fast the page is found.
+/// Page buffers live in an arena (`slabs`) addressed through an
+/// [`AddrMap`] index, so finding a page is one hash probe.
 #[derive(Debug, Default, Clone)]
 pub struct SparseStore {
-    /// Page number → arena slot. Ordered so that iteration (snapshot
-    /// encodings, diffs) is identical across processes — the determinism
-    /// contract (DESIGN.md) bans unordered maps in serialization paths.
-    index: BTreeMap<u64, usize>,
+    /// Page number → arena slot. Whole-index reads go through
+    /// `AddrMap`'s page-number-ordered accessors, so snapshot encodings
+    /// are identical across processes.
+    index: AddrMap<usize>,
     /// Page buffers, in first-touch order. Never iterated directly:
     /// everything order-sensitive goes through `index`.
     slabs: Vec<Box<[u8; PAGE_BYTES as usize]>>,
-    /// `(page_number, slot)` of the most recently touched page.
-    hint: Option<(u64, usize)>,
 }
 
 impl SparseStore {
@@ -42,38 +35,14 @@ impl SparseStore {
         Self::default()
     }
 
-    /// Returns the arena slot of `page` without allocating, consulting the
-    /// hint first.
-    #[inline]
-    fn slot_of(&self, page: u64) -> Option<usize> {
-        if let Some((p, s)) = self.hint {
-            if p == page {
-                return Some(s);
-            }
-        }
-        self.index.get(&page).copied()
-    }
-
     /// Returns the arena slot of `page`, allocating a zeroed page if
-    /// absent, and remembers it in the hint.
+    /// absent.
     #[inline]
     fn slot_of_mut(&mut self, page: u64) -> usize {
-        if let Some((p, s)) = self.hint {
-            if p == page {
-                return s;
-            }
-        }
-        let slot = match self.index.get(&page) {
-            Some(&s) => s,
-            None => {
-                self.slabs.push(Box::new([0u8; PAGE_BYTES as usize]));
-                let s = self.slabs.len() - 1;
-                self.index.insert(page, s);
-                s
-            }
-        };
-        self.hint = Some((page, slot));
-        slot
+        *self.index.get_or_insert_with(page, || {
+            self.slabs.push(Box::new([0u8; PAGE_BYTES as usize]));
+            self.slabs.len() - 1
+        })
     }
 
     /// Reads `buf.len()` bytes starting at `addr`.
@@ -85,8 +54,8 @@ impl SparseStore {
             let offset = (pos % PAGE_BYTES) as usize;
             let chunk = remaining.len().min(PAGE_BYTES as usize - offset);
             let (head, tail) = remaining.split_at_mut(chunk);
-            match self.slot_of(page) {
-                Some(s) => head.copy_from_slice(&self.slabs[s][offset..offset + chunk]),
+            match self.index.get(page) {
+                Some(&s) => head.copy_from_slice(&self.slabs[s][offset..offset + chunk]),
                 None => head.fill(0),
             }
             remaining = tail;
@@ -130,12 +99,12 @@ impl SparseStore {
     pub const PAGE_BYTES: u64 = PAGE_BYTES;
 
     /// Returns `(page_number, contents)` for every resident page, sorted
-    /// by page number so snapshot encodings are deterministic (BTreeMap
-    /// iteration is already page-number-ordered).
+    /// by page number so snapshot encodings are deterministic.
     pub fn sorted_pages(&self) -> Vec<(u64, &[u8])> {
         self.index
-            .iter()
-            .map(|(&n, &s)| (n, self.slabs[s].as_slice()))
+            .sorted_entries()
+            .into_iter()
+            .map(|(n, &s)| (n, self.slabs[s].as_slice()))
             .collect()
     }
 
@@ -159,7 +128,6 @@ impl SparseStore {
     pub fn clear(&mut self) {
         self.index.clear();
         self.slabs.clear();
-        self.hint = None;
     }
 }
 

@@ -1,8 +1,6 @@
 //! The DRAM (DDR4) channel: the paper's synchronous comparison substrate.
 
-use std::collections::BTreeMap;
-
-use simbase::{Addr, ByteCounter, Cycles, ServerPool, CACHELINE_BYTES};
+use simbase::{Addr, AddrMap, ByteCounter, Cycles, ServerPool, CACHELINE_BYTES};
 
 /// DRAM channel configuration.
 #[derive(Debug, Clone)]
@@ -44,7 +42,7 @@ pub struct DramController {
     channels: ServerPool,
     counters: ByteCounter,
     /// Cacheline address -> time the last flushed write becomes readable.
-    inflight: BTreeMap<u64, Cycles>,
+    inflight: AddrMap<Cycles>,
 }
 
 impl DramController {
@@ -55,7 +53,7 @@ impl DramController {
             params,
             channels,
             counters: ByteCounter::new(),
-            inflight: BTreeMap::new(),
+            inflight: AddrMap::new(),
         }
     }
 
@@ -63,7 +61,7 @@ impl DramController {
     pub fn read(&mut self, now: Cycles, addr: Addr) -> Cycles {
         self.counters.add_read(CACHELINE_BYTES);
         let cl = addr.cacheline().0;
-        let start = match self.inflight.get(&cl) {
+        let start = match self.inflight.get(cl) {
             Some(&readable) if readable > now => readable,
             _ => now,
         };
@@ -79,10 +77,10 @@ impl DramController {
         let accept = queued + self.params.store_latency;
         let readable_at = accept + self.params.persist_pipeline;
         let cl = addr.cacheline().0;
-        let entry = self.inflight.entry(cl).or_insert(0);
+        let entry = self.inflight.get_or_insert_with(cl, || 0);
         *entry = (*entry).max(readable_at);
         if self.inflight.len() >= INFLIGHT_GC_THRESHOLD {
-            self.inflight.retain(|_, &mut readable| readable > now);
+            self.inflight.retain(|_, &readable| readable > now);
         }
         (accept, readable_at)
     }

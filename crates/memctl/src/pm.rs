@@ -1,8 +1,6 @@
 //! The persistent-memory side of the iMC: WPQ, interleaving, counters.
 
-use std::collections::BTreeMap;
-
-use simbase::{Addr, BandwidthGate, ByteCounter, Cycles, QueueStats, CACHELINE_BYTES};
+use simbase::{Addr, AddrMap, BandwidthGate, ByteCounter, Cycles, QueueStats, CACHELINE_BYTES};
 use xpdimm::{DimmController, DimmParams, DimmStats, ReadSource};
 
 /// Configuration of the PM channel: DIMM population, interleaving, WPQ.
@@ -139,8 +137,8 @@ pub struct PmController {
     rpq: Vec<RpqTracker>,
     imc: Vec<ByteCounter>,
     /// Cacheline address -> `(drained, readable_at)` of the last accepted
-    /// write.
-    inflight: BTreeMap<u64, (Cycles, Cycles)>,
+    /// write. Probed by every read; an [`AddrMap`] keeps that O(1).
+    inflight: AddrMap<(Cycles, Cycles)>,
     /// Size at which the next [`PmController::gc_inflight`] call actually
     /// walks the map (amortized: doubles with the surviving population).
     gc_watermark: usize,
@@ -175,7 +173,7 @@ impl PmController {
             wpq,
             rpq,
             imc,
-            inflight: BTreeMap::new(),
+            inflight: AddrMap::new(),
             gc_watermark: INFLIGHT_GC_MIN,
         }
     }
@@ -199,7 +197,7 @@ impl PmController {
         let d = self.dimm_of(addr);
         self.imc[d].add_read(CACHELINE_BYTES);
         let cl = addr.cacheline().0;
-        let start = match self.inflight.get(&cl) {
+        let start = match self.inflight.get(cl) {
             Some(&(drained, readable)) => {
                 let barrier = match wait {
                     PersistWait::Full => readable,
@@ -225,7 +223,7 @@ impl PmController {
         let drained = accept + self.params.drain_visible;
         let readable_at = accept + self.params.persist_pipeline;
         let cl = addr.cacheline().0;
-        let entry = self.inflight.entry(cl).or_insert((0, 0));
+        let entry = self.inflight.get_or_insert_with(cl, || (0, 0));
         entry.0 = entry.0.max(drained);
         entry.1 = entry.1.max(readable_at);
         self.maybe_gc(now);
@@ -238,7 +236,7 @@ impl PmController {
 
     fn maybe_gc(&mut self, now: Cycles) {
         if self.inflight.len() >= INFLIGHT_GC_THRESHOLD {
-            self.inflight.retain(|_, &mut (_, readable)| readable > now);
+            self.inflight.retain(|_, &(_, readable)| readable > now);
         }
     }
 
@@ -253,15 +251,21 @@ impl PmController {
     /// = now`, write merges take the fresh (larger) timestamps, and
     /// `undrained_lines` filters it out — so collecting it cannot change
     /// any result. Amortized: the walk only runs once the map outgrows a
-    /// doubling watermark, so long write phases don't leave a large map
-    /// taxing every subsequent read's lookup.
+    /// doubling watermark, so a long write phase holds only the records
+    /// still in flight instead of one per line it ever wrote.
     pub fn gc_inflight(&mut self, horizon: Cycles) {
         if self.inflight.len() < self.gc_watermark {
             return;
         }
         self.inflight
-            .retain(|_, &mut (drained, readable)| drained.max(readable) > horizon);
+            .retain(|_, &(drained, readable)| drained.max(readable) > horizon);
         self.gc_watermark = (self.inflight.len() * 2).max(INFLIGHT_GC_MIN);
+    }
+
+    /// Number of in-flight write records currently held (what
+    /// [`PmController::gc_inflight`] keeps bounded).
+    pub fn inflight_len(&self) -> usize {
+        self.inflight.len()
     }
 
     // ----- fault-injection surveys and UE routing ---------------------
@@ -271,14 +275,12 @@ impl PmController {
     /// power failure these are the writes a WPQ partial-drain fault can
     /// interrupt mid-flight.
     pub fn undrained_lines(&self, now: Cycles) -> Vec<u64> {
-        let mut lines: Vec<u64> = self
-            .inflight
-            .iter()
+        self.inflight
+            .sorted_entries()
+            .into_iter()
             .filter(|&(_, &(drained, _))| drained > now)
-            .map(|(&cl, _)| cl)
-            .collect();
-        lines.sort_unstable();
-        lines
+            .map(|(cl, _)| cl)
+            .collect()
     }
 
     /// Returns the XPLines resident in the on-DIMM write-combining

@@ -6,6 +6,8 @@
 //! - [`addr`]: physical addresses and the cacheline / XPLine geometry that
 //!   the whole study revolves around (64 B cachelines vs. 256 B 3D-XPoint
 //!   media lines),
+//! - [`addrmap`]: [`AddrMap`], the deterministic O(1) container for
+//!   per-cacheline and per-page simulator state,
 //! - [`clock`]: simulated time in CPU cycles,
 //! - [`rng`]: a deterministic SplitMix64 generator so every experiment is
 //!   bit-reproducible,
@@ -15,8 +17,10 @@
 //! - [`wire`]: a checked little-endian codec for checkpoint payloads.
 
 #![forbid(unsafe_code)]
+#![warn(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod addr;
+pub mod addrmap;
 pub mod clock;
 pub mod resource;
 pub mod rng;
@@ -24,6 +28,7 @@ pub mod stats;
 pub mod wire;
 
 pub use addr::{Addr, CACHELINES_PER_XPLINE, CACHELINE_BYTES, XPLINE_BYTES};
+pub use addrmap::AddrMap;
 pub use clock::Cycles;
 pub use resource::{BandwidthGate, QueueStats, Server, ServerPool};
 pub use rng::SplitMix64;

@@ -80,6 +80,9 @@ impl ServerPool {
     /// Submits a request arriving at `now` with the given `service` time to
     /// the earliest-free server and returns the completion time.
     pub fn request(&mut self, now: Cycles, service: Cycles) -> Cycles {
+        // simlint::allow(unwrap-in-lib, `new` rejects an empty pool and
+        // nothing removes servers, so a minimum always exists)
+        #[allow(clippy::expect_used)]
         let server = self
             .servers
             .iter_mut()

@@ -135,16 +135,21 @@ impl<'a> WireReader<'a> {
         Ok(s)
     }
 
+    /// Reads the next `N` bytes as an array.
+    fn take_array<const N: usize>(&mut self) -> Result<[u8; N], WireError> {
+        let mut out = [0u8; N];
+        out.copy_from_slice(self.take(N)?);
+        Ok(out)
+    }
+
     /// Reads a `u64`.
     pub fn get_u64(&mut self) -> Result<u64, WireError> {
-        let b = self.take(8)?;
-        Ok(u64::from_le_bytes(b.try_into().expect("8-byte slice")))
+        Ok(u64::from_le_bytes(self.take_array()?))
     }
 
     /// Reads a `u32`.
     pub fn get_u32(&mut self) -> Result<u32, WireError> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes(b.try_into().expect("4-byte slice")))
+        Ok(u32::from_le_bytes(self.take_array()?))
     }
 
     /// Reads a single byte.

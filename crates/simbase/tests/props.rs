@@ -1,7 +1,25 @@
 //! Property tests for the foundation types.
 
+use std::collections::BTreeMap;
+
 use proptest::prelude::*;
-use simbase::{Addr, BandwidthGate, Server, ServerPool, SplitMix64, CACHELINE_BYTES, XPLINE_BYTES};
+use simbase::{
+    Addr, AddrMap, BandwidthGate, Server, ServerPool, SplitMix64, CACHELINE_BYTES, XPLINE_BYTES,
+};
+
+/// One step of an `AddrMap` script: `(op, page_key, key_index, value)`.
+/// `page_key` picks a page-number key (`key_index`) instead of a
+/// cacheline-aligned address key (`key_index` cachelines past a PM-like
+/// base).
+type MapStep = (u8, bool, u64, u64);
+
+fn script_key(page_key: bool, index: u64) -> u64 {
+    if page_key {
+        index
+    } else {
+        0x1000_0000_0000 + index * CACHELINE_BYTES
+    }
+}
 
 proptest! {
     #[test]
@@ -115,5 +133,45 @@ proptest! {
             prop_assert!(done >= last + interval, "drain rate bounded");
             last = done;
         }
+    }
+
+    #[test]
+    fn addr_map_matches_a_btreemap_model(
+        script in prop::collection::vec((0u8..40, any::<bool>(), 0u64..300, any::<u64>()), 0..400),
+    ) {
+        let script: Vec<MapStep> = script;
+        let mut map: AddrMap<u64> = AddrMap::new();
+        let mut model: BTreeMap<u64, u64> = BTreeMap::new();
+        for (op, page_key, index, value) in script {
+            let key = script_key(page_key, index);
+            match op {
+                0..=19 => prop_assert_eq!(map.insert(key, value), model.insert(key, value)),
+                20..=29 => prop_assert_eq!(map.remove(key), model.remove(&key)),
+                30..=35 => {
+                    *map.get_or_insert_with(key, || value) ^= 1;
+                    *model.entry(key).or_insert(value) ^= 1;
+                }
+                36..=38 => {
+                    // A pure predicate on the entry alone.
+                    let keep = |k: u64, v: u64| !(k / 64).wrapping_add(v).is_multiple_of(3);
+                    map.retain(|k, &v| keep(k, v));
+                    model.retain(|&k, &mut v| keep(k, v));
+                }
+                _ => {
+                    map.clear();
+                    model.clear();
+                }
+            }
+            prop_assert_eq!(map.get(key), model.get(&key));
+            prop_assert_eq!(map.len(), model.len());
+            prop_assert_eq!(map.is_empty(), model.is_empty());
+        }
+        for (&k, v) in &model {
+            prop_assert_eq!(map.get(k), Some(v));
+        }
+        let sorted: Vec<(u64, &u64)> = model.iter().map(|(&k, v)| (k, v)).collect();
+        prop_assert_eq!(map.sorted_entries(), sorted);
+        prop_assert_eq!(map.sorted_keys(), model.keys().copied().collect::<Vec<u64>>());
+        prop_assert_eq!(format!("{map:?}"), format!("{model:?}"));
     }
 }

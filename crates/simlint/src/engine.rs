@@ -10,7 +10,8 @@ use crate::rules::{self, Rule, Violation};
 /// The crates whose `src/` holds simulator state or serialization paths.
 /// The strict rules (unordered-state, wall-clock, unwrap-in-lib) apply
 /// only here; float-accum-unordered and bare-allow apply workspace-wide.
-pub const SIM_STATE_CRATES: [&str; 7] = [
+pub const SIM_STATE_CRATES: [&str; 8] = [
+    "simbase",
     "core",
     "dimm",
     "media",
@@ -290,6 +291,10 @@ mod tests {
     fn classification() {
         assert_eq!(classify("crates/core/src/machine.rs"), FileClass::SimState);
         assert_eq!(classify("crates/media/src/store.rs"), FileClass::SimState);
+        assert_eq!(
+            classify("crates/simbase/src/addrmap.rs"),
+            FileClass::SimState
+        );
         assert_eq!(classify("crates/harness/src/lib.rs"), FileClass::General);
         assert_eq!(classify("crates/core/tests/crash.rs"), FileClass::Test);
         assert_eq!(classify("tests/paper_claims.rs"), FileClass::Test);
