@@ -32,7 +32,7 @@
 //! Everything is deterministic per seed: same parameters, same seed,
 //! byte-identical [`ClusterReport`] — the crate is under the simlint
 //! determinism contract and the dual-process divergence witness
-//! (`repro divergence e12`).
+//! (`repro divergence cluster`).
 //!
 //! The correctness invariant the whole stack hangs on: a Put is only
 //! acknowledged after `store_full_cacheline` + `clwb` + `sfence`

@@ -1,6 +1,6 @@
 //! In-process determinism: two cluster runs at the same seed — faults,
 //! hedges, metrics series and all — produce byte-identical reports.
-//! (The cross-process half of this story is `repro divergence e12`.)
+//! (The cross-process half of this story is `repro divergence cluster`.)
 
 use cluster::{ClientConfig, ClusterFaultPlan, ClusterParams};
 

@@ -4,12 +4,15 @@
 //! Usage:
 //!
 //! ```text
-//! repro [e0|e1|..|e9|e15|table1|mixes|pmcheck|faultsim|cluster|rebalance|bench|all] \
-//!       [--full | --smoke] [--out DIR] [--gen g1|g2|both] \
+//! repro [NAME..|all] [--full | --smoke] [--out DIR] [--gen g1|g2|both] \
 //!       [--parallel N] [--resume] [--deadline SECS] [--seed N] \
 //!       [--metrics PATH] [--sample-interval CYCLES] \
 //!       [--inject panic:JOB|hang:JOB]
 //! ```
+//!
+//! Each NAME is the name of an entry in `experiments::registry::REGISTRY`;
+//! `repro --help` lists them. `repro divergence [NAME|all]` runs the
+//! dual-process determinism witness over the entries that have one.
 //!
 //! `--metrics PATH` turns on `simwatch` sampling: the sampling-capable
 //! experiments (E1, E3) poll the unified machine metrics every
@@ -41,6 +44,7 @@ use std::time::Duration;
 
 use experiments::common::MetricsSpec;
 use experiments::jobs::{self, Inject, Scale};
+use experiments::registry;
 use harness::{write_atomic, RunConfig, Scheduler};
 use optane_core::Generation;
 
@@ -62,12 +66,7 @@ struct Options {
 }
 
 fn usage() -> ! {
-    println!(
-        "usage: repro [e0|e1|..|e9|e15|table1|mixes|pmcheck|faultsim|cluster|rebalance|bench|all] \
-         [--full | --smoke] [--out DIR] [--gen g1|g2|both] [--parallel N] \
-         [--resume] [--deadline SECS] [--seed N] [--metrics PATH] \
-         [--sample-interval CYCLES] [--inject panic:JOB|hang:JOB]"
-    );
+    println!("{}", registry::usage());
     std::process::exit(0);
 }
 
@@ -102,7 +101,9 @@ fn parse_args() -> Options {
                 );
             }
             "--gen" => {
-                let g = args.next().unwrap_or_default();
+                let g = args
+                    .next()
+                    .unwrap_or_else(|| bad_args("--gen needs g1|g2|both"));
                 gens = match g.as_str() {
                     "g1" | "G1" => vec![Generation::G1],
                     "g2" | "G2" => vec![Generation::G2],
@@ -170,6 +171,15 @@ fn parse_args() -> Options {
     if which.is_empty() {
         which.push("all".to_string());
     }
+    if let Some(bad) = which
+        .iter()
+        .find(|w| *w != "all" && registry::find(w).is_none())
+    {
+        bad_args(&format!(
+            "unknown experiment '{bad}'; expected {}|all",
+            registry::choices(|_| true)
+        ));
+    }
     if full && smoke {
         bad_args("--full and --smoke are mutually exclusive");
     }
@@ -213,9 +223,6 @@ fn main() {
         interval: opts.sample_interval,
     });
     let mut job_list = jobs::matrix(&opts.which, &opts.gens, opts.scale, &opts.out, spec);
-    if job_list.is_empty() {
-        bad_args(&format!("no experiments match selection {:?}", opts.which));
-    }
     let known_ids: Vec<String> = job_list.iter().map(|j| j.id()).collect();
     for (target, mode) in &opts.injections {
         if !jobs::apply_injection(&mut job_list, target, *mode) {

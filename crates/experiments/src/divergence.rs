@@ -23,6 +23,7 @@ use std::cell::RefCell;
 use std::path::PathBuf;
 use std::process::Command;
 
+use harness::write_atomic;
 use optane_core::trace::TraceSink;
 use optane_core::Machine;
 use simlint::witness::{
@@ -30,8 +31,8 @@ use simlint::witness::{
     DivergenceOutcome, OpStreamHasher, SharedHasher, FNV_OFFSET,
 };
 
-use crate::common::MetricsSpec;
-use crate::{e0_bandwidth, e12_cluster, e13_rebalance, e14_simspeed, e15_mt, e3_write_amp};
+use crate::common::{ExpError, ExpResult};
+use crate::registry::{self, Entry, REGISTRY};
 
 /// The tap an experiment threads through its measurement loops: a shared
 /// op-stream hasher handed to every machine as its TraceSink, plus a
@@ -87,52 +88,50 @@ impl WitnessTap {
     }
 }
 
-/// Witness workload sizes: small enough that a bisection (tens of child
-/// re-runs) stays in CI budget, big enough to exercise buffers, caches,
-/// and the sampler.
-#[derive(Debug, Clone, Copy)]
+/// Runs an experiment's witness workload under a tap at `(seed, smoke)`.
+pub type Witness = fn(u64, bool, &WitnessTap) -> ChildText;
+
+/// What a witness run hands back for hashing: the `simwatch` rows (if
+/// sampled) and the rendered results.
+pub struct ChildText {
+    pub metrics_jsonl: Option<String>,
+    pub text: String,
+}
+
+impl ChildText {
+    /// `head`, then each result's table and CSV, then `tail`; the
+    /// metrics are the first result's series that has one.
+    pub(crate) fn of(head: String, results: &[ExpResult], tail: &str) -> ChildText {
+        let mut text = head;
+        for r in results {
+            text.push_str(&r.to_table());
+            text.push('\n');
+            text.push_str(&r.to_csv());
+        }
+        text.push_str(tail);
+        ChildText {
+            metrics_jsonl: results.iter().find_map(|r| r.metrics_jsonl.clone()),
+            text,
+        }
+    }
+
+    /// A typed failure still yields a deterministic report: both
+    /// children fail identically or the witness flags it.
+    pub(crate) fn error(name: &str, e: ExpError) -> ChildText {
+        ChildText {
+            metrics_jsonl: None,
+            text: format!("{name} error: {e}\n"),
+        }
+    }
+}
+
 struct ChildOpts {
-    exp: Experiment,
+    witness: Witness,
     seed: u64,
     smoke: bool,
     prefix: Option<u64>,
     dump: Option<(u64, u64)>,
     perturb: Option<u64>,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Experiment {
-    E0,
-    E3,
-    E12,
-    E13,
-    E14,
-    E15,
-}
-
-impl Experiment {
-    fn name(self) -> &'static str {
-        match self {
-            Experiment::E0 => "e0",
-            Experiment::E3 => "e3",
-            Experiment::E12 => "e12",
-            Experiment::E13 => "e13",
-            Experiment::E14 => "e14",
-            Experiment::E15 => "e15",
-        }
-    }
-
-    fn parse(s: &str) -> Option<Experiment> {
-        match s {
-            "e0" => Some(Experiment::E0),
-            "e3" => Some(Experiment::E3),
-            "e12" => Some(Experiment::E12),
-            "e13" => Some(Experiment::E13),
-            "e14" => Some(Experiment::E14),
-            "e15" => Some(Experiment::E15),
-            _ => None,
-        }
-    }
 }
 
 fn run_child(opts: &ChildOpts) -> ChildReport {
@@ -147,191 +146,70 @@ fn run_child(opts: &ChildOpts) -> ChildReport {
         hasher = hasher.with_perturb_at(k);
     }
     let tap = WitnessTap::new(hasher);
-    let (metrics, text) = match opts.exp {
-        Experiment::E0 => {
-            let params = e0_bandwidth::E0Params {
-                threads: vec![1, 2],
-                blocks_per_thread: if opts.smoke { 200 } else { 1000 },
-                seed: opts.seed,
-                ..Default::default()
-            };
-            let result = e0_bandwidth::run_traced(&params, Some(&tap));
-            let text = format!("{}\n{}", result.to_table(), result.to_csv());
-            (result.metrics_jsonl, text)
-        }
-        Experiment::E3 => {
-            let params = e3_write_amp::E3Params {
-                wss_points: vec![4 << 10, 16 << 10],
-                rounds: if opts.smoke { 3 } else { 6 },
-                metrics: Some(MetricsSpec { interval: 50_000 }),
-                seed: opts.seed,
-                ..Default::default()
-            };
-            let result = e3_write_amp::run_traced(&params, Some(&tap));
-            let text = format!("{}\n{}", result.to_table(), result.to_csv());
-            (result.metrics_jsonl, text)
-        }
-        Experiment::E12 => {
-            // One load point keeps a bisection's tens of re-runs in CI
-            // budget while still crossing the power-fail + recovery path
-            // that produces replacement machines mid-run.
-            let mut params = e12_cluster::E12Params::smoke(opts.seed);
-            params.interarrival_points = vec![1_500];
-            if opts.smoke {
-                params.preload_keys = 120;
-                params.ops = 500;
-            }
-            params.metrics = Some(MetricsSpec { interval: 40_000 });
-            match e12_cluster::run_traced(&params, Some(&tap)) {
-                Ok(out) => {
-                    let mut text = String::new();
-                    for r in &out.results {
-                        text.push_str(&r.to_table());
-                        text.push('\n');
-                        text.push_str(&r.to_csv());
-                    }
-                    text.push_str(&out.availability_report);
-                    let metrics = out.results.iter().find_map(|r| r.metrics_jsonl.clone());
-                    (metrics, text)
-                }
-                // A typed failure still yields a deterministic report:
-                // both children fail identically or the witness flags it.
-                Err(e) => (None, format!("e12 error: {e}\n")),
-            }
-        }
-        Experiment::E13 => {
-            // One mid-Copy source-crash drill: the migration + recovery
-            // path with the fewest runs that still crosses epoch bumps,
-            // control-record replay, and anti-entropy repair.
-            let mut params = e13_rebalance::E13Params::smoke(opts.seed);
-            params.drills = vec![e13_rebalance::FULL_DRILLS[2]];
-            if opts.smoke {
-                params.preload_keys = 120;
-                params.ops = 600;
-            }
-            params.metrics = Some(MetricsSpec { interval: 40_000 });
-            match e13_rebalance::run_traced(&params, Some(&tap)) {
-                Ok(out) => {
-                    let mut text = String::new();
-                    for r in &out.results {
-                        text.push_str(&r.to_table());
-                        text.push('\n');
-                        text.push_str(&r.to_csv());
-                    }
-                    text.push_str(&out.rebalance_report);
-                    let metrics = out.results.iter().find_map(|r| r.metrics_jsonl.clone());
-                    (metrics, text)
-                }
-                // A typed failure still yields a deterministic report:
-                // both children fail identically or the witness flags it.
-                Err(e) => (None, format!("e13 error: {e}\n")),
-            }
-        }
-        Experiment::E14 => {
-            // The speed suite doubles as a batching witness: the tap
-            // replaces each scenario's own observer, so the hashed op
-            // stream covers all three hot paths (including the batched
-            // ones) under every attachment variant.
-            let params = if opts.smoke {
-                e14_simspeed::E14Params::smoke(opts.seed)
-            } else {
-                e14_simspeed::E14Params {
-                    seed: opts.seed,
-                    ..Default::default()
-                }
-            };
-            let out = e14_simspeed::run_traced(&params, Some(&tap));
-            let mut text = e14_simspeed::bench_json(&out);
-            text.push_str(&out.result.to_table());
-            text.push('\n');
-            text.push_str(&out.result.to_csv());
-            (out.result.metrics_jsonl.clone(), text)
-        }
-        Experiment::E15 => {
-            // Exercises the executor under BOTH scheduler policies (the
-            // structure sweep runs round-robin and seeded-random per
-            // point), the locked-RMW trace events, and the detectable
-            // stack/queue step machines — all folded into one witness.
-            let params = e15_mt::E15Params {
-                threads: if opts.smoke {
-                    vec![1, 2]
-                } else {
-                    vec![1, 2, 4]
-                },
-                blocks_per_thread: if opts.smoke { 200 } else { 800 },
-                rap_iters_per_thread: if opts.smoke { 100 } else { 400 },
-                ops_per_thread: if opts.smoke { 24 } else { 80 },
-                sched_seed: opts.seed,
-                ..Default::default()
-            };
-            match e15_mt::run_traced(&params, Some(&tap)) {
-                Ok(results) => {
-                    let mut text = String::new();
-                    for r in &results {
-                        text.push_str(&r.to_table());
-                        text.push('\n');
-                        text.push_str(&r.to_csv());
-                    }
-                    let metrics = results.iter().find_map(|r| r.metrics_jsonl.clone());
-                    (metrics, text)
-                }
-                // A typed failure still yields a deterministic report:
-                // both children fail identically or the witness flags it.
-                Err(e) => (None, format!("e15 error: {e}\n")),
-            }
-        }
-    };
-    tap.report(metrics.as_deref(), &text)
+    let out = (opts.witness)(opts.seed, opts.smoke, &tap);
+    tap.report(out.metrics_jsonl.as_deref(), &out.text)
+}
+
+/// The registry entries that have a witness, in registry order.
+fn witnessed() -> impl Iterator<Item = &'static Entry> {
+    REGISTRY.iter().filter(|e| e.witness.is_some())
+}
+
+/// The `a|b|..` list of witnessed experiment names.
+fn witnessed_choices() -> String {
+    registry::choices(|e| e.witness.is_some())
 }
 
 /// Entry point for `repro divergence-child <exp> [flags]`. Prints the
 /// wire-format report on stdout.
 pub fn child_main(args: &[String]) -> i32 {
-    let mut opts = ChildOpts {
-        exp: Experiment::E0,
-        seed: 42,
-        smoke: false,
-        prefix: None,
-        dump: None,
-        perturb: None,
-    };
-    let mut exp_set = false;
+    let mut witness = None;
+    let mut seed = 42;
+    let mut smoke = false;
+    let mut prefix = None;
+    let mut dump = None;
+    let mut perturb = None;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
             "--seed" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(v) => opts.seed = v,
+                Some(v) => seed = v,
                 None => return child_usage("--seed needs an integer"),
             },
-            "--smoke" => opts.smoke = true,
+            "--smoke" => smoke = true,
             "--prefix" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(v) => opts.prefix = Some(v),
+                Some(v) => prefix = Some(v),
                 None => return child_usage("--prefix needs an op count"),
             },
             "--dump" => {
                 let a = it.next().and_then(|v| v.parse().ok());
                 let b = it.next().and_then(|v| v.parse().ok());
                 match (a, b) {
-                    (Some(a), Some(b)) => opts.dump = Some((a, b)),
+                    (Some(a), Some(b)) => dump = Some((a, b)),
                     _ => return child_usage("--dump needs two op indices"),
                 }
             }
             "--perturb" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(v) => opts.perturb = Some(v),
+                Some(v) => perturb = Some(v),
                 None => return child_usage("--perturb needs an op index"),
             },
-            other => match Experiment::parse(other) {
-                Some(e) => {
-                    opts.exp = e;
-                    exp_set = true;
-                }
+            other => match registry::find(other).and_then(|e| e.witness) {
+                Some(w) => witness = Some(w),
                 None => return child_usage(&format!("unknown argument `{other}`")),
             },
         }
     }
-    if !exp_set {
-        return child_usage("which experiment? (e0|e3|e12|e13|e14|e15)");
-    }
+    let Some(witness) = witness else {
+        return child_usage(&format!("which experiment? ({})", witnessed_choices()));
+    };
+    let opts = ChildOpts {
+        witness,
+        seed,
+        smoke,
+        prefix,
+        dump,
+        perturb,
+    };
     print!("{}", run_child(&opts).to_wire());
     0
 }
@@ -343,7 +221,7 @@ fn child_usage(msg: &str) -> i32 {
 
 /// Parent-side options for `repro divergence`.
 struct ParentOpts {
-    exps: Vec<Experiment>,
+    exps: Vec<&'static Entry>,
     seed: u64,
     smoke: bool,
     perturb: Option<u64>,
@@ -352,15 +230,11 @@ struct ParentOpts {
 
 /// Spawns one child and parses its report. `extra` carries probe flags
 /// (`--prefix`, `--dump`, `--perturb`).
-fn spawn_child(
-    opts: &ParentOpts,
-    exp: Experiment,
-    extra: &[String],
-) -> Result<ChildReport, String> {
+fn spawn_child(opts: &ParentOpts, exp: &Entry, extra: &[String]) -> Result<ChildReport, String> {
     let exe = std::env::current_exe().map_err(|e| format!("cannot find own binary: {e}"))?;
     let mut cmd = Command::new(exe);
     cmd.arg("divergence-child")
-        .arg(exp.name())
+        .arg(exp.name)
         .arg("--seed")
         .arg(opts.seed.to_string());
     if opts.smoke {
@@ -383,7 +257,7 @@ fn spawn_child(
 /// Runs the witness for one experiment: two fresh children, compare,
 /// bisect on mismatch. Returns a human-readable verdict plus whether the
 /// runs agreed.
-fn witness_one(opts: &ParentOpts, exp: Experiment) -> Result<(String, bool), String> {
+fn witness_one(opts: &ParentOpts, exp: &Entry) -> Result<(String, bool), String> {
     let perturb_flags: Vec<String> = match opts.perturb {
         Some(k) => vec!["--perturb".into(), k.to_string()],
         None => Vec::new(),
@@ -395,19 +269,14 @@ fn witness_one(opts: &ParentOpts, exp: Experiment) -> Result<(String, bool), Str
             format!(
                 "{}: {} ops, trace hash {:#018x} — two fresh processes agree \
                  (checkpoints {:#018x}, metrics {:#018x}, results {:#018x})",
-                exp.name(),
-                ops,
-                trace_hash,
-                a.checkpoint_hash,
-                a.metrics_hash,
-                a.result_hash
+                exp.name, ops, trace_hash, a.checkpoint_hash, a.metrics_hash, a.result_hash
             ),
             true,
         )),
         DivergenceOutcome::StateOnly { fields } => Ok((
             format!(
                 "{}: op streams agree ({} ops) but derived state diverges: {}",
-                exp.name(),
+                exp.name,
                 a.ops,
                 fields.join(", ")
             ),
@@ -419,9 +288,7 @@ fn witness_one(opts: &ParentOpts, exp: Experiment) -> Result<(String, bool), Str
                     format!(
                         "{}: op COUNTS diverge: {} vs {} — the instruction streams \
                          themselves differ in length",
-                        exp.name(),
-                        a.ops,
-                        b.ops
+                        exp.name, a.ops, b.ops
                     ),
                     false,
                 ));
@@ -450,10 +317,7 @@ fn witness_one(opts: &ParentOpts, exp: Experiment) -> Result<(String, bool), Str
                 format!(
                     "{}: DIVERGED at op {idx} of {} (trace hashes {:#018x} vs {:#018x})\n\
                      ops around the divergence (A = run 1, B = run 2):\n{diff}",
-                    exp.name(),
-                    a.ops,
-                    a.trace_hash,
-                    b.trace_hash
+                    exp.name, a.ops, a.trace_hash, b.trace_hash
                 ),
                 false,
             ))
@@ -461,8 +325,10 @@ fn witness_one(opts: &ParentOpts, exp: Experiment) -> Result<(String, bool), Str
     }
 }
 
-/// Entry point for `repro divergence [e0|e3|e12|e13|e14|e15|all] [--seed N]
-/// [--smoke] [--perturb K] [--out DIR]`.
+/// Entry point for `repro divergence [NAME|all] [--seed N] [--smoke]
+/// [--perturb K] [--out DIR]`, where NAME is a registry entry with a
+/// witness; with no name, or `all`, every such entry runs in registry
+/// order.
 ///
 /// Exit codes mirror the witness's claim: 0 when every selected
 /// experiment's two fresh-process runs are hash-identical (or, under
@@ -493,31 +359,15 @@ pub fn parent_main(args: &[String]) -> i32 {
                 Some(p) => opts.out = Some(PathBuf::from(p)),
                 None => return parent_usage("--out needs a directory"),
             },
-            "all" => {
-                opts.exps = vec![
-                    Experiment::E0,
-                    Experiment::E3,
-                    Experiment::E12,
-                    Experiment::E13,
-                    Experiment::E14,
-                    Experiment::E15,
-                ]
-            }
-            other => match Experiment::parse(other) {
+            "all" => opts.exps = witnessed().collect(),
+            other => match witnessed().find(|e| e.name == other) {
                 Some(e) => opts.exps.push(e),
                 None => return parent_usage(&format!("unknown argument `{other}`")),
             },
         }
     }
     if opts.exps.is_empty() {
-        opts.exps = vec![
-            Experiment::E0,
-            Experiment::E3,
-            Experiment::E12,
-            Experiment::E13,
-            Experiment::E14,
-            Experiment::E15,
-        ];
+        opts.exps = witnessed().collect();
     }
 
     let mut all_ok = true;
@@ -544,12 +394,12 @@ pub fn parent_main(args: &[String]) -> i32 {
             if expected {
                 println!(
                     "divergence {}: planted perturbation at op {k} was bisected correctly",
-                    exp.name()
+                    exp.name
                 );
             } else {
                 println!(
                     "divergence {}: planted perturbation at op {k} was NOT correctly located",
-                    exp.name()
+                    exp.name
                 );
             }
         }
@@ -557,10 +407,9 @@ pub fn parent_main(args: &[String]) -> i32 {
     }
     if let Some(dir) = &opts.out {
         let path = dir.join("divergence.txt");
-        if std::fs::create_dir_all(dir).is_ok() {
-            if let Err(e) = std::fs::write(&path, &log) {
-                eprintln!("divergence: cannot write {}: {e}", path.display());
-            }
+        if let Err(e) = write_atomic(&path, log.as_bytes()) {
+            eprintln!("divergence: cannot write {}: {e}", path.display());
+            return 2;
         }
     }
     if all_ok {
@@ -573,7 +422,8 @@ pub fn parent_main(args: &[String]) -> i32 {
 fn parent_usage(msg: &str) -> i32 {
     eprintln!("divergence: {msg}");
     eprintln!(
-        "usage: repro divergence [e0|e3|e12|e13|e14|e15|all] [--seed N] [--smoke] [--perturb K] [--out DIR]"
+        "usage: repro divergence [{}|all] [--seed N] [--smoke] [--perturb K] [--out DIR]",
+        witnessed_choices()
     );
     2
 }
@@ -582,11 +432,17 @@ fn parent_usage(msg: &str) -> i32 {
 mod tests {
     use super::*;
 
+    fn witness_of(name: &str) -> Witness {
+        registry::find(name)
+            .and_then(|e| e.witness)
+            .unwrap_or_else(|| panic!("{name} has no witness"))
+    }
+
     #[test]
     fn tap_reports_are_stable_in_process() {
         let run = || {
             let opts = ChildOpts {
-                exp: Experiment::E3,
+                witness: witness_of("e3"),
                 seed: 7,
                 smoke: true,
                 prefix: None,
@@ -605,7 +461,7 @@ mod tests {
     fn seed_reaches_the_machines() {
         let run = |seed| {
             let opts = ChildOpts {
-                exp: Experiment::E0,
+                witness: witness_of("e0"),
                 seed,
                 smoke: true,
                 prefix: None,
@@ -628,7 +484,7 @@ mod tests {
     fn perturbed_child_diverges_and_prefix_isolates() {
         let run = |prefix, perturb| {
             let opts = ChildOpts {
-                exp: Experiment::E0,
+                witness: witness_of("e0"),
                 seed: 7,
                 smoke: true,
                 prefix,

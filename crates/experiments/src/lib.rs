@@ -5,6 +5,8 @@
 //! [`common::ExpResult`]. The `repro` binary prints the paper's rows and
 //! writes CSVs; workspace integration tests assert each claim's *shape*
 //! (step positions, orderings, crossovers) against these results.
+//! [`registry::REGISTRY`] names each one and wires it into `repro`, the
+//! job matrix, and the divergence witness.
 //!
 //! | module | paper reference | claim |
 //! |---|---|---|
@@ -49,6 +51,7 @@ pub mod e8_btree;
 pub mod e9_redirect;
 pub mod ext_mixes;
 pub mod jobs;
+pub mod registry;
 pub mod table1;
 
 pub use common::{Curve, ExpResult};

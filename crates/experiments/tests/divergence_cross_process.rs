@@ -40,7 +40,7 @@ fn fields(stdout: &str) -> Vec<(String, String)> {
 
 #[test]
 fn two_processes_same_seed_are_hash_identical() {
-    for exp in ["e0", "e3", "e12"] {
+    for exp in ["e0", "e3", "cluster"] {
         let a = child_stdout(&[exp, "--seed", "7", "--smoke"]);
         let b = child_stdout(&[exp, "--seed", "7", "--smoke"]);
         assert_eq!(
@@ -146,5 +146,25 @@ fn parent_reports_agreement_for_clean_runs() {
     assert!(
         stdout.contains("two fresh processes agree"),
         "expected agreement verdict:\n{stdout}"
+    );
+}
+
+#[test]
+fn unwritable_out_dir_exits_2() {
+    // `--out` below a regular file cannot be created, so the witness
+    // must not report success without its `divergence.txt`.
+    let file = std::env::temp_dir().join(format!("divergence-out-file-{}", std::process::id()));
+    std::fs::write(&file, b"not a directory").expect("create blocker file");
+    let out = repro()
+        .args(["divergence", "e0", "--seed", "9", "--smoke", "--out"])
+        .arg(file.join("sub"))
+        .output()
+        .expect("spawn repro divergence");
+    std::fs::remove_file(&file).ok();
+    assert_eq!(
+        out.status.code(),
+        Some(2),
+        "stderr:\n{}",
+        String::from_utf8_lossy(&out.stderr)
     );
 }

@@ -212,6 +212,8 @@ fn bad_arguments_exit_2() {
         &["e1", "--inject", "panic:no-such-job"][..],
         &["no-such-experiment"][..],
         &["e1", "--full", "--smoke"][..],
+        &["e0", "no-such-experiment"][..],
+        &["e1", "--gen"][..],
     ] {
         let out = temp_out("badargs");
         let run = run_repro(args, &out);
