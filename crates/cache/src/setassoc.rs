@@ -1,33 +1,30 @@
 //! A set-associative cache of cacheline metadata.
 //!
-//! Lines carry a tag, a dirty bit, and an LRU timestamp. Functional data is
-//! not stored here — the machine keeps bytes in its volatile overlay and
-//! persistent image; the cache only decides hits, misses, evictions, and
-//! write-backs.
+//! Functional data is not stored here — the machine keeps bytes in its
+//! volatile overlay and persistent image; the cache only decides hits,
+//! misses, evictions, and write-backs.
 //!
-//! Storage is a single flat slot table (`num_sets * ways` entries, set-major)
-//! rather than a `Vec` per set: one allocation per cache, and a set lookup is
-//! a bounded scan of `ways` contiguous slots. A live-line counter makes
-//! emptiness checks O(1), which the flush path relies on to skip the many
-//! per-core caches that hold nothing.
+//! Storage is two flat, set-major tables of `num_sets * ways` words: set
+//! `s` owns slots `s*ways .. (s+1)*ways` of both. `keys` holds the resident
+//! line number plus one, so 0 marks an empty slot and a victim's address is
+//! `key - 1` with no tag arithmetic. `stamps` holds the slot's LRU tick
+//! shifted left one bit, with the dirty bit in bit 0. A lookup scans only
+//! the keys of one set and reads a stamp only on a hit; a fill also reads
+//! the set's stamps to pick the LRU victim.
+//!
+//! Both tables start all-zero and are built with `vec![0; n]`. A large
+//! zeroed allocation comes back as untouched zero pages, so a set the run
+//! never touches costs address space but no resident memory. That keeps a
+//! machine with dozens of cores and multi-megabyte L3s cheap to build when
+//! one thread on one core runs. (Once a process has freed a table of some
+//! size, glibc may serve the next one from its heap and clear it in place,
+//! so a process that builds many machines pays that clearing per table.)
+//! A live-line counter makes emptiness checks O(1), which the flush path
+//! relies on to skip the many per-core caches that hold nothing.
+
+use std::ops::Range;
 
 use simbase::{Addr, HitMiss, CACHELINE_BYTES};
-
-/// Metadata for one resident cacheline slot.
-#[derive(Debug, Clone, Copy)]
-struct Line {
-    tag: u64,
-    last_use: u64,
-    dirty: bool,
-    valid: bool,
-}
-
-const EMPTY_LINE: Line = Line {
-    tag: 0,
-    last_use: 0,
-    dirty: false,
-    valid: false,
-};
 
 /// A line evicted to make room.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -38,17 +35,53 @@ pub struct Evicted {
     pub dirty: bool,
 }
 
+/// Exact `n % d` by multiplication (Lemire, Kaser & Kurz, "Faster
+/// remainder by direct computation", 2019). With `m = ceil(2^128 / d)`,
+/// `n % d == ((m * n mod 2^128) * d) >> 128` for every 64-bit `n`, which
+/// replaces the division by the (often non-power-of-two) set count on
+/// every lookup.
+#[derive(Debug, Clone, Copy)]
+struct FastMod {
+    d: u64,
+    m: u128,
+}
+
+impl FastMod {
+    fn new(d: u64) -> Self {
+        assert!(d > 0, "modulus must be positive");
+        // For d == 1 the magic wraps to 0, which yields 0 == n % 1.
+        FastMod {
+            d,
+            m: (u128::MAX / u128::from(d)).wrapping_add(1),
+        }
+    }
+
+    #[inline]
+    fn rem(self, n: u64) -> u64 {
+        let low = self.m.wrapping_mul(u128::from(n));
+        let d = u128::from(self.d);
+        // High 128 bits of the 192-bit product `low * d`, in two halves;
+        // neither partial product nor their sum overflows.
+        let hi = (low >> 64) * d;
+        let lo = (low & u128::from(u64::MAX)) * d;
+        ((hi + (lo >> 64)) >> 64) as u64
+    }
+}
+
 /// Set-associative, LRU, write-back cache (metadata only).
 #[derive(Debug, Clone)]
 pub struct Cache {
-    /// Flat slot table: set `s` owns `slots[s*ways .. (s+1)*ways]`.
-    slots: Vec<Line>,
-    num_sets: usize,
+    /// Resident line number + 1 per slot; 0 is an empty slot.
+    keys: Vec<u64>,
+    /// `tick << 1 | dirty` per slot; 0 for an empty slot.
+    stamps: Vec<u64>,
+    sets: FastMod,
     ways: usize,
     tick: u64,
     hits: u64,
     misses: u64,
-    /// Number of valid slots; `is_empty` must stay O(1) for the flush path.
+    /// Number of occupied slots; `is_empty` must stay O(1) for the flush
+    /// path.
     live: usize,
 }
 
@@ -65,11 +98,13 @@ impl Cache {
     pub fn new(capacity_bytes: u64, ways: usize) -> Self {
         assert!(ways > 0, "associativity must be positive");
         let lines = capacity_bytes / CACHELINE_BYTES;
-        let num_sets = (lines / ways as u64).max(1) as usize;
         assert!(lines >= ways as u64, "capacity smaller than one set");
+        let num_sets = (lines / ways as u64).max(1);
+        let slots = num_sets as usize * ways;
         Cache {
-            slots: vec![EMPTY_LINE; num_sets * ways],
-            num_sets,
+            keys: vec![0; slots],
+            stamps: vec![0; slots],
+            sets: FastMod::new(num_sets),
             ways,
             tick: 0,
             hits: 0,
@@ -78,31 +113,40 @@ impl Cache {
         }
     }
 
-    fn set_and_tag(&self, addr: Addr) -> (usize, u64) {
+    /// Returns `addr`'s key and the slot range of its set.
+    #[inline]
+    fn locate(&self, addr: Addr) -> (u64, Range<usize>) {
         let line = addr.cacheline().0 / CACHELINE_BYTES;
-        let num_sets = self.num_sets as u64;
-        ((line % num_sets) as usize, line / num_sets)
+        let start = self.sets.rem(line) as usize * self.ways;
+        (line + 1, start..start + self.ways)
     }
 
+    /// Returns the slot holding `addr`, if resident.
     #[inline]
-    fn set_slots(&mut self, set_idx: usize) -> &mut [Line] {
-        &mut self.slots[set_idx * self.ways..(set_idx + 1) * self.ways]
+    fn slot_of(&self, addr: Addr) -> Option<usize> {
+        let (key, set) = self.locate(addr);
+        let start = set.start;
+        self.keys[set]
+            .iter()
+            .position(|&k| k == key)
+            .map(|i| start + i)
+    }
+
+    /// Consumes a fresh LRU tick and returns it as a stamp with `dirty` in
+    /// bit 0.
+    #[inline]
+    fn next_stamp(&mut self, dirty: bool) -> u64 {
+        self.tick += 1;
+        self.tick << 1 | u64::from(dirty)
     }
 
     /// Looks up `addr`; on a hit, refreshes LRU and optionally marks dirty.
     ///
     /// Returns `true` on a hit.
     pub fn access(&mut self, addr: Addr, mark_dirty: bool) -> bool {
-        self.tick += 1;
-        let (set_idx, tag) = self.set_and_tag(addr);
-        let tick = self.tick;
-        if let Some(l) = self
-            .set_slots(set_idx)
-            .iter_mut()
-            .find(|l| l.valid && l.tag == tag)
-        {
-            l.last_use = tick;
-            l.dirty |= mark_dirty;
+        let stamp = self.next_stamp(mark_dirty);
+        if let Some(slot) = self.slot_of(addr) {
+            self.stamps[slot] = stamp | (self.stamps[slot] & 1);
             self.hits += 1;
             true
         } else {
@@ -113,63 +157,58 @@ impl Cache {
 
     /// Returns `true` if `addr` is resident, without touching LRU or stats.
     pub fn peek(&self, addr: Addr) -> bool {
-        let (set_idx, tag) = self.set_and_tag(addr);
-        self.slots[set_idx * self.ways..(set_idx + 1) * self.ways]
-            .iter()
-            .any(|l| l.valid && l.tag == tag)
+        self.slot_of(addr).is_some()
     }
 
     /// Inserts `addr` (refreshing it if already resident), returning the
     /// evicted victim if the set overflowed.
     pub fn fill(&mut self, addr: Addr, dirty: bool) -> Option<Evicted> {
-        self.tick += 1;
-        let (set_idx, tag) = self.set_and_tag(addr);
-        let tick = self.tick;
-        let num_sets = self.num_sets as u64;
-        let set = self.set_slots(set_idx);
-        // One pass: find the resident line, a free slot, and the LRU victim.
+        let stamp = self.next_stamp(dirty);
+        let (key, set) = self.locate(addr);
+        let keys = &mut self.keys[set.clone()];
+        let stamps = &mut self.stamps[set];
+        // One pass over the set's slices: find the resident line, a free
+        // slot, and the LRU victim.
         let mut free = None;
-        let mut victim = None;
-        let mut victim_use = u64::MAX;
-        for (i, l) in set.iter_mut().enumerate() {
-            if !l.valid {
-                if free.is_none() {
-                    free = Some(i);
-                }
-                continue;
-            }
-            if l.tag == tag {
-                l.last_use = tick;
-                l.dirty |= dirty;
+        let mut victim = 0;
+        let mut oldest = u64::MAX;
+        for (i, &k) in keys.iter().enumerate() {
+            if k == key {
+                stamps[i] = stamp | (stamps[i] & 1);
                 return None;
             }
-            // LRU timestamps are unique (each touch consumes a fresh tick),
-            // so the victim does not depend on slot order.
-            if l.last_use < victim_use {
-                victim_use = l.last_use;
-                victim = Some(i);
+            if k == 0 {
+                free.get_or_insert(i);
+            } else if stamps[i] < oldest {
+                // Ticks are unique (each touch consumes a fresh one), so
+                // the victim does not depend on slot order, and the dirty
+                // bit below the tick never decides it.
+                oldest = stamps[i];
+                victim = i;
             }
         }
-        let fresh = Line {
-            tag,
-            last_use: tick,
-            dirty,
-            valid: true,
-        };
         if let Some(i) = free {
-            set[i] = fresh;
+            keys[i] = key;
+            stamps[i] = stamp;
             self.live += 1;
             return None;
         }
-        // A full set always yields an LRU victim.
-        let victim_idx = victim?;
-        let v = set[victim_idx];
-        set[victim_idx] = fresh;
-        let line_no = v.tag * num_sets + set_idx as u64;
-        Some(Evicted {
-            addr: Addr(line_no * CACHELINE_BYTES),
-            dirty: v.dirty,
-        })
+        let evicted = Evicted {
+            addr: Addr((keys[victim] - 1) * CACHELINE_BYTES),
+            dirty: stamps[victim] & 1 == 1,
+        };
+        keys[victim] = key;
+        stamps[victim] = stamp;
+        Some(evicted)
+    }
+
+    /// Empties `slot`, returning whether it was dirty.
+    fn evict_slot(&mut self, slot: usize) -> bool {
+        let dirty = self.stamps[slot] & 1 == 1;
+        self.keys[slot] = 0;
+        self.stamps[slot] = 0;
+        self.live -= 1;
+        dirty
     }
 
     /// Removes `addr` if resident, returning whether it was dirty.
@@ -177,15 +216,8 @@ impl Cache {
         if self.live == 0 {
             return None;
         }
-        let (set_idx, tag) = self.set_and_tag(addr);
-        let l = self
-            .set_slots(set_idx)
-            .iter_mut()
-            .find(|l| l.valid && l.tag == tag)?;
-        let dirty = l.dirty;
-        *l = EMPTY_LINE;
-        self.live -= 1;
-        Some(dirty)
+        let slot = self.slot_of(addr)?;
+        Some(self.evict_slot(slot))
     }
 
     /// Cleans `addr` if resident (write-back without invalidation),
@@ -194,13 +226,9 @@ impl Cache {
         if self.live == 0 {
             return None;
         }
-        let (set_idx, tag) = self.set_and_tag(addr);
-        let l = self
-            .set_slots(set_idx)
-            .iter_mut()
-            .find(|l| l.valid && l.tag == tag)?;
-        let was = l.dirty;
-        l.dirty = false;
+        let slot = self.slot_of(addr)?;
+        let was = self.stamps[slot] & 1 == 1;
+        self.stamps[slot] &= !1;
         Some(was)
     }
 
@@ -209,23 +237,16 @@ impl Cache {
     /// Addresses come out in slot order, which is not sorted; callers that
     /// need a canonical order (power-fail replay) sort them.
     pub fn drain_dirty(&mut self) -> Vec<Addr> {
-        let num_sets = self.num_sets as u64;
-        let ways = self.ways;
         let mut dirty = Vec::new();
         if self.live == 0 {
             return dirty;
         }
-        for (slot_idx, l) in self.slots.iter_mut().enumerate() {
-            if l.valid {
-                if l.dirty {
-                    let set_idx = (slot_idx / ways) as u64;
-                    let line_no = l.tag * num_sets + set_idx;
-                    dirty.push(Addr(line_no * CACHELINE_BYTES));
-                }
-                *l = EMPTY_LINE;
+        for slot in 0..self.keys.len() {
+            let key = self.keys[slot];
+            if key != 0 && self.evict_slot(slot) {
+                dirty.push(Addr((key - 1) * CACHELINE_BYTES));
             }
         }
-        self.live = 0;
         dirty
     }
 
@@ -252,9 +273,13 @@ impl Cache {
     }
 
     /// Clears contents and statistics.
+    ///
+    /// Fresh zeroed tables replace occupied ones instead of being
+    /// overwritten, so the reset cache again holds only zero pages.
     pub fn reset(&mut self) {
         if self.live > 0 {
-            self.slots.fill(EMPTY_LINE);
+            self.keys = vec![0; self.keys.len()];
+            self.stamps = vec![0; self.stamps.len()];
         }
         self.live = 0;
         self.hits = 0;
@@ -265,7 +290,35 @@ impl Cache {
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
+
+    /// Set counts of the G1 and G2 hierarchies (L1 and L2 are 64 and 1024
+    /// on both; the L3s are 40 000 and 49 152), plus the single-set edge.
+    const SET_COUNTS: [u64; 5] = [1, 64, 1024, 40_000, 49_152];
+
+    #[test]
+    fn set_index_reduction_is_exact_on_edge_lines() {
+        for d in SET_COUNTS {
+            let f = FastMod::new(d);
+            for n in [0, d - 1, d, u64::MAX / 64, u64::MAX] {
+                assert_eq!(f.rem(n), n % d, "{n} % {d}");
+            }
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn set_index_reduction_is_exact_on_random_lines(
+            n in any::<u64>(),
+            d in 1u64..u64::MAX,
+        ) {
+            for d in SET_COUNTS.into_iter().chain([d]) {
+                prop_assert_eq!(FastMod::new(d).rem(n), n % d, "{} % {}", n, d);
+            }
+        }
+    }
 
     #[test]
     fn miss_then_hit() {

@@ -12,6 +12,13 @@
 //! coherence races (see `DESIGN.md` §4); the flush path is what matters for
 //! persistence semantics and is modelled faithfully, including the G1/G2
 //! `clwb` difference.
+//!
+//! Every level is a [`Cache`]: a zero-initialised key table (line number
+//! plus one per slot) and a stamp table (LRU tick and dirty bit per slot).
+//! A full G1 machine configures 2 sockets × 20 cores of L1 and L2 plus two
+//! 27.5 MB L3s, about 24 MiB of tables, but a fresh allocation of them is
+//! untouched zero pages: host memory grows only with the sets a run
+//! actually fills, so one thread on one core pays for one core's caches.
 
 use simbase::{Addr, Cycles, HitMiss};
 

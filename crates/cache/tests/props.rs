@@ -5,13 +5,15 @@ use std::collections::HashMap;
 
 use cpucache::{Cache, CacheParams, CacheSystem, FlushMode, PrefetchConfig};
 use proptest::prelude::*;
-use simbase::Addr;
+use simbase::{Addr, HitMiss};
 
 /// Reference model of a set-associative LRU cache.
 struct ModelCache {
     sets: HashMap<u64, Vec<(u64, bool)>>, // set -> [(line, dirty)] in LRU order
     num_sets: u64,
     ways: usize,
+    hits: u64,
+    misses: u64,
 }
 
 impl ModelCache {
@@ -20,31 +22,39 @@ impl ModelCache {
             sets: HashMap::new(),
             num_sets: (capacity_bytes / 64 / ways as u64).max(1),
             ways,
+            hits: 0,
+            misses: 0,
         }
     }
 
-    fn set_of(&self, addr: Addr) -> u64 {
-        (addr.cacheline().0 / 64) % self.num_sets
+    fn set_mut(&mut self, addr: Addr) -> &mut Vec<(u64, bool)> {
+        let set = (addr.cacheline().0 / 64) % self.num_sets;
+        self.sets.entry(set).or_default()
+    }
+
+    fn position(&mut self, addr: Addr) -> Option<usize> {
+        let line = addr.cacheline().0;
+        self.set_mut(addr).iter().position(|&(l, _)| l == line)
     }
 
     fn access(&mut self, addr: Addr, dirty: bool) -> bool {
-        let line = addr.cacheline().0;
-        let set = self.sets.entry(self.set_of(addr)).or_default();
-        if let Some(pos) = set.iter().position(|&(l, _)| l == line) {
-            let (l, d) = set.remove(pos);
-            set.push((l, d || dirty));
-            true
-        } else {
-            false
-        }
+        let Some(pos) = self.position(addr) else {
+            self.misses += 1;
+            return false;
+        };
+        self.hits += 1;
+        let set = self.set_mut(addr);
+        let (l, d) = set.remove(pos);
+        set.push((l, d || dirty));
+        true
     }
 
     fn fill(&mut self, addr: Addr, dirty: bool) -> Option<(u64, bool)> {
         let line = addr.cacheline().0;
         let ways = self.ways;
-        let set_idx = self.set_of(addr);
-        let set = self.sets.entry(set_idx).or_default();
-        if let Some(pos) = set.iter().position(|&(l, _)| l == line) {
+        let pos = self.position(addr);
+        let set = self.set_mut(addr);
+        if let Some(pos) = pos {
             let (l, d) = set.remove(pos);
             set.push((l, d || dirty));
             return None;
@@ -57,42 +67,121 @@ impl ModelCache {
         set.push((line, dirty));
         evicted
     }
+
+    fn peek(&mut self, addr: Addr) -> bool {
+        self.position(addr).is_some()
+    }
+
+    fn invalidate(&mut self, addr: Addr) -> Option<bool> {
+        let pos = self.position(addr)?;
+        Some(self.set_mut(addr).remove(pos).1)
+    }
+
+    fn clean(&mut self, addr: Addr) -> Option<bool> {
+        let pos = self.position(addr)?;
+        Some(std::mem::replace(&mut self.set_mut(addr)[pos].1, false))
+    }
+
+    fn drain_dirty(&mut self) -> Vec<Addr> {
+        let mut dirty: Vec<Addr> = self
+            .sets
+            .drain()
+            .flat_map(|(_, set)| set)
+            .filter(|&(_, d)| d)
+            .map(|(l, _)| Addr(l))
+            .collect();
+        dirty.sort();
+        dirty
+    }
+
+    fn reset(&mut self) {
+        self.sets.clear();
+        self.hits = 0;
+        self.misses = 0;
+    }
+
+    fn len(&self) -> usize {
+        self.sets.values().map(Vec::len).sum()
+    }
 }
 
-proptest! {
-    #[test]
-    fn cache_matches_lru_model(
-        ops in prop::collection::vec((0u64..64, any::<bool>(), any::<bool>()), 1..300),
-    ) {
-        // 16 lines, 4 ways: small enough to stress eviction constantly.
-        let mut cache = Cache::new(16 * 64, 4);
-        let mut model = ModelCache::new(16 * 64, 4);
-        for (line, dirty, is_fill) in ops {
-            let addr = Addr(line * 64);
-            if is_fill {
+/// The machine's PM and DRAM address-space bases (`optane_core::PM_BASE`
+/// and `DRAM_BASE`), as cacheline numbers.
+const PM_BASE_LINE: u64 = 0x0000_1000_0000_0000 / 64;
+const DRAM_BASE_LINE: u64 = 0x0000_2000_0000_0000 / 64;
+
+/// Line number `i` of a pool that spans line 0, the PM and DRAM bases and
+/// the top of the address space, so keys (`line + 1`) cover the empty-slot
+/// sentinel's neighbour and large tags.
+fn pool_line(i: u64) -> u64 {
+    let k = i / 4;
+    match i % 4 {
+        0 => k,
+        1 => PM_BASE_LINE + k,
+        2 => DRAM_BASE_LINE + k,
+        _ => u64::MAX / 64 - k,
+    }
+}
+
+/// Runs `ops` (`(kind, pool index, dirty)`) against a cache and the model
+/// and checks every result, the occupancy and the counters as it goes.
+/// `kind` is a percentage: fills and accesses dominate, so sets fill up
+/// and evict between the rare drains (98) and resets (99).
+fn check_against_model(capacity_bytes: u64, ways: usize, ops: &[(u64, u64, bool)]) {
+    let mut cache = Cache::new(capacity_bytes, ways);
+    let mut model = ModelCache::new(capacity_bytes, ways);
+    for &(kind, i, dirty) in ops {
+        let addr = Addr(pool_line(i) * 64);
+        match kind {
+            0..=44 => {
                 let got = cache.fill(addr, dirty);
                 let want = model.fill(addr, dirty);
                 match (got, want) {
                     (None, None) => {}
                     (Some(g), Some((wl, wd))) => {
-                        prop_assert_eq!(g.addr, Addr(wl));
-                        prop_assert_eq!(g.dirty, wd);
+                        assert_eq!(g.addr, Addr(wl));
+                        assert_eq!(g.dirty, wd);
                     }
-                    other => prop_assert!(false, "eviction mismatch: {:?}", other),
+                    other => panic!("eviction mismatch: {other:?}"),
                 }
-            } else {
-                prop_assert_eq!(cache.access(addr, dirty), model.access(addr, dirty));
+            }
+            45..=74 => assert_eq!(cache.access(addr, dirty), model.access(addr, dirty)),
+            75..=82 => assert_eq!(cache.peek(addr), model.peek(addr)),
+            83..=90 => assert_eq!(cache.invalidate(addr), model.invalidate(addr)),
+            91..=97 => assert_eq!(cache.clean(addr), model.clean(addr)),
+            98 => {
+                let mut got = cache.drain_dirty();
+                got.sort();
+                assert_eq!(got, model.drain_dirty());
+            }
+            _ => {
+                cache.reset();
+                model.reset();
             }
         }
-        // Final residency agrees.
-        for line in 0..64u64 {
-            let addr = Addr(line * 64);
-            let model_has = model
-                .sets
-                .get(&model.set_of(addr))
-                .is_some_and(|s| s.iter().any(|&(l, _)| l == line * 64));
-            prop_assert_eq!(cache.peek(addr), model_has, "line {}", line);
-        }
+        assert_eq!(cache.len(), model.len());
+        assert_eq!(cache.is_empty(), model.len() == 0);
+        assert_eq!(cache.counters(), HitMiss::of(model.hits, model.misses));
+    }
+    // Final residency agrees.
+    for i in 0..POOL {
+        let addr = Addr(pool_line(i) * 64);
+        assert_eq!(cache.peek(addr), model.peek(addr), "line {:#x}", addr.0);
+    }
+}
+
+/// Pool size: 16 lines per region, several times the 15-16 line caches.
+const POOL: u64 = 64;
+
+proptest! {
+    #[test]
+    fn cache_matches_lru_model(
+        ops in prop::collection::vec((0u64..100, 0u64..POOL, any::<bool>()), 1..300),
+    ) {
+        // 4 sets x 4 ways, and a non-power-of-two 5 sets x 3 ways: small
+        // enough to stress eviction constantly.
+        check_against_model(16 * 64, 4, &ops);
+        check_against_model(15 * 64, 3, &ops);
     }
 
     #[test]

@@ -482,23 +482,25 @@ impl Machine {
                 .unwrap_or(now);
             self.inflight_fills.retain(|_, &done| done > horizon);
             self.inflight_gc_watermark = (self.inflight_fills.len() * 2).max(INFLIGHT_GC_MIN);
-            // Same horizon argument holds for the controller's in-flight
+            // Same horizon argument holds for the controllers' in-flight
             // write records: every future call passes a thread clock, and
             // all of those are >= horizon.
             self.pm.gc_inflight(horizon);
+            self.dram.gc_inflight(horizon);
         }
     }
 
-    /// Offers the PM controller a chance to collect completed in-flight
-    /// write records (see [`imc::PmController::gc_inflight`] for why the
-    /// min-over-clocks horizon is exact). Called at the end of every
-    /// nt-store and flush, which never issue prefetches and would
-    /// otherwise let the map grow for an entire write phase.
-    fn gc_pm_inflight(&mut self) {
+    /// Offers the PM and DRAM controllers a chance to collect completed
+    /// in-flight write records (see [`imc::PmController::gc_inflight`] for
+    /// why the min-over-clocks horizon is exact). Called at the end of
+    /// every nt-store and flush, which never issue prefetches and would
+    /// otherwise let the maps grow for an entire write phase.
+    fn gc_controller_inflight(&mut self) {
         let Some(horizon) = self.threads.iter().map(|t| t.clock.now()).min() else {
             return;
         };
         self.pm.gc_inflight(horizon);
+        self.dram.gc_inflight(horizon);
     }
 
     /// Decides how a PM read is ordered behind an in-flight persist: reads
@@ -812,7 +814,7 @@ impl Machine {
             }
             MemRegion::Dram => self.dram_image.write(addr, data),
         }
-        self.gc_pm_inflight();
+        self.gc_controller_inflight();
     }
 
     /// Batched non-temporal stores: writes the 64-byte pattern `line` to
@@ -882,7 +884,7 @@ impl Machine {
         t.outstanding_accept = t.outstanding_accept.max(max_accept);
         t.sb_push(count);
         self.demand.add_write(CACHELINE_BYTES * count);
-        self.gc_pm_inflight();
+        self.gc_controller_inflight();
     }
 
     /// Batched touch loads: performs a `u64` demand load at the base of
@@ -973,7 +975,7 @@ impl Machine {
             }
         }
         self.gc_recent_flush();
-        self.gc_pm_inflight();
+        self.gc_controller_inflight();
     }
 
     /// `clwb`: writes back the cacheline containing `addr` if dirty. On G1
@@ -1040,7 +1042,7 @@ impl Machine {
             t.sb_push(1);
         }
         self.gc_recent_flush();
-        self.gc_pm_inflight();
+        self.gc_controller_inflight();
     }
 
     fn gc_recent_flush(&mut self) {
@@ -2093,6 +2095,27 @@ mod tests {
             m.pm.inflight_len() < 2 * INFLIGHT_GC_MIN,
             "flushes: {} records still held",
             m.pm.inflight_len()
+        );
+    }
+
+    #[test]
+    fn dram_flushes_on_two_threads_collect_controller_inflight_records() {
+        // The horizon is the slower thread's clock, so both threads must
+        // make progress for records to become collectable.
+        let mut m = g1();
+        let threads = [m.spawn(0), m.spawn(0)];
+        let n = 12_000u64;
+        let a = m.alloc_dram(n * 64, 64);
+        for i in 0..n {
+            let t = threads[i as usize % 2];
+            m.store_u64(t, a.add_cachelines(i), i);
+            m.clwb(t, a.add_cachelines(i));
+            m.sfence(t);
+        }
+        assert!(
+            m.dram.inflight_len() < 2 * INFLIGHT_GC_MIN,
+            "{} DRAM records still held",
+            m.dram.inflight_len()
         );
     }
 

@@ -35,6 +35,9 @@ impl Default for DramParams {
 /// collecting completed ones.
 const INFLIGHT_GC_THRESHOLD: usize = 1 << 20;
 
+/// Smallest `inflight` population worth garbage-collecting.
+const INFLIGHT_GC_MIN: usize = 1 << 10;
+
 /// One socket's DRAM controller.
 #[derive(Debug)]
 pub struct DramController {
@@ -43,6 +46,10 @@ pub struct DramController {
     counters: ByteCounter,
     /// Cacheline address -> time the last flushed write becomes readable.
     inflight: AddrMap<Cycles>,
+    /// Size at which the next [`DramController::gc_inflight`] call
+    /// actually walks the map (amortized: doubles with the surviving
+    /// population).
+    gc_watermark: usize,
 }
 
 impl DramController {
@@ -54,6 +61,7 @@ impl DramController {
             channels,
             counters: ByteCounter::new(),
             inflight: AddrMap::new(),
+            gc_watermark: INFLIGHT_GC_MIN,
         }
     }
 
@@ -85,6 +93,30 @@ impl DramController {
         (accept, readable_at)
     }
 
+    /// Drops in-flight write records that became readable by `horizon`.
+    ///
+    /// The caller must guarantee that every timestamp it will ever pass to
+    /// [`DramController::read`] or [`DramController::write`] from here on
+    /// is `>= horizon`. Under that contract a record with `readable_at <=
+    /// horizon` behaves exactly like an absent one — reads start at `now`
+    /// either way, and a later write merges in a larger `readable_at` — so
+    /// collecting it cannot change any result. Amortized like
+    /// [`crate::PmController::gc_inflight`]: the walk only runs once the
+    /// map outgrows a doubling watermark.
+    pub fn gc_inflight(&mut self, horizon: Cycles) {
+        if self.inflight.len() < self.gc_watermark {
+            return;
+        }
+        self.inflight.retain(|_, &readable| readable > horizon);
+        self.gc_watermark = (self.inflight.len() * 2).max(INFLIGHT_GC_MIN);
+    }
+
+    /// Number of in-flight write records currently held (what
+    /// [`DramController::gc_inflight`] keeps bounded).
+    pub fn inflight_len(&self) -> usize {
+        self.inflight.len()
+    }
+
     /// Returns the channel byte counters.
     pub fn counters(&self) -> ByteCounter {
         self.counters
@@ -100,6 +132,7 @@ impl DramController {
         self.counters.reset();
         self.channels.reset();
         self.inflight.clear();
+        self.gc_watermark = INFLIGHT_GC_MIN;
     }
 }
 
