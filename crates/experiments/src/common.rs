@@ -213,7 +213,7 @@ fn truncate(s: &str, n: usize) -> String {
     }
 }
 
-fn format_num(v: f64) -> String {
+pub(crate) fn format_num(v: f64) -> String {
     if v == 0.0 {
         "0".to_string()
     } else if v.abs() >= 1e6 {
@@ -266,9 +266,43 @@ pub fn log_sweep(lo: u64, hi: u64, per_decade: u32) -> Vec<u64> {
     out
 }
 
+/// Simulated operations per simulated megacycle: the throughput figure
+/// of every `BENCH_*.json`. A pure function of the instruction stream,
+/// so CI compares it byte for byte. Returns `0.0` when `sim_cycles` is
+/// zero (a run that never advanced the clock has no meaningful rate).
+pub fn ops_per_mcycle(sim_ops: u64, sim_cycles: u64) -> f64 {
+    let mcycles = sim_cycles as f64 / 1e6;
+    if mcycles > 0.0 {
+        sim_ops as f64 / mcycles
+    } else {
+        0.0
+    }
+}
+
+/// Renders a single-scenario `BENCH_*.json` (the cluster and rebalance
+/// shape: flat object, no `scenarios` array).
+pub fn render_flat(experiment: &str, sim_ops: u64, sim_cycles: u64) -> String {
+    format!(
+        "{{\n  \"experiment\": \"{}\",\n  \"sim_ops\": {},\n  \"sim_cycles\": {},\n  \"sim_ops_per_mcycle\": {:.3}\n}}\n",
+        experiment,
+        sim_ops,
+        sim_cycles,
+        ops_per_mcycle(sim_ops, sim_cycles)
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn ops_per_mcycle_is_plain_arithmetic() {
+        // 3_000 ops over 2_000_000 cycles = 1500 ops/Mcycle.
+        assert!((ops_per_mcycle(3_000, 2_000_000) - 1_500.0).abs() < 1e-9);
+        // Zero-cycle guard: no rate, not a NaN/inf.
+        assert_eq!(ops_per_mcycle(3_000, 0), 0.0);
+        assert_eq!(ops_per_mcycle(0, 0), 0.0);
+    }
 
     #[test]
     fn curve_queries() {

@@ -31,7 +31,7 @@ use cluster::{
     MigrationPhase, MigrationPlan, ReplicationParams,
 };
 
-use crate::common::{Curve, ExpError, ExpResult, MetricsSpec};
+use crate::common::{render_flat, Curve, ExpError, ExpResult, MetricsSpec};
 use crate::divergence::WitnessTap;
 
 /// One drill: a run with (or without) a seeded mid-migration crash.
@@ -314,17 +314,11 @@ pub fn run_traced(p: &E13Params, tap: Option<&WitnessTap>) -> Result<E13Output, 
     })
 }
 
-/// Renders the deterministic perf baseline (`BENCH_rebalance.json`):
-/// simulated fields only, byte-identical per seed, so CI diffs the file
-/// directly. Wall-clock figures go to the sidecar
-/// ([`bench_wall_json`]), which is what the `diff -r` exclusions cover.
+/// Renders the deterministic perf baseline (`BENCH_rebalance.json`): simulated
+/// fields only, byte-identical per seed. CI compares the file byte for
+/// byte with the repo-root copy.
 pub fn bench_json(out: &E13Output) -> String {
-    bench::render_flat("e13_rebalance", out.sim_ops, out.sim_cycles)
-}
-
-/// Renders the host-dependent sidecar (`BENCH_rebalance_wall.json`).
-pub fn bench_wall_json(out: &E13Output, wall_us: u64) -> String {
-    bench::render_flat_wall("e13_rebalance", out.sim_ops, wall_us)
+    render_flat("e13_rebalance", out.sim_ops, out.sim_cycles)
 }
 
 #[cfg(test)]
@@ -394,14 +388,7 @@ mod tests {
         let out = run(&p).expect("e13");
         let j = bench_json(&out);
         assert!(j.contains("\"experiment\": \"e13_rebalance\""));
-        // Deterministic part carries no wall-clock field; that lives in
-        // the sidecar, which carries no simulated field.
-        assert!(!j.contains("wall"));
-        let w = bench_wall_json(&out, 77_000);
-        assert!(w.contains("\"wall_us\": 77000"));
-        assert!(!w.contains("sim_cycles"));
-        let entries = bench::parse_bench(&j).expect("parses");
-        assert_eq!(entries[0].sim_ops, out.sim_ops);
-        assert_eq!(entries[0].sim_cycles, out.sim_cycles);
+        assert!(j.contains(&format!("\"sim_ops\": {},", out.sim_ops)));
+        assert!(!j.contains("wall"), "no host-dependent field");
     }
 }

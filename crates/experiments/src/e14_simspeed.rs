@@ -7,15 +7,11 @@
 //! and YCSB inserts into FAST & FAIR — each bare, with a [`TraceSink`]
 //! attached, and with the `simwatch` sampler attached.
 //!
-//! Two throughput figures per scenario:
-//!
-//! - `sim_ops_per_mcycle` — simulated ops per simulated megacycle: a
-//!   pure function of the seed, byte-identical across hosts, written to
-//!   `BENCH_sim.json` and gated by `benchcmp` in CI with a tolerance
-//!   band (>15% regression fails);
-//! - `sim_ops_per_wall_sec` — host throughput, written to the
-//!   `BENCH_sim_wall.json` sidecar and excluded from byte-identity
-//!   checks.
+//! Each scenario reports `sim_ops`, `sim_cycles`, `trace_events` and
+//! `sim_ops_per_mcycle`: pure functions of the seed, written to
+//! `BENCH_sim.json` and compared byte for byte with the repo-root copy
+//! in CI. Nothing here reads a wall clock; host speed is pmbench's to
+//! measure.
 //!
 //! The trace-sink and sampler variants exist to keep the observability
 //! hooks honest: the sink variant pins that attaching a sink still sees
@@ -24,7 +20,6 @@
 
 use std::cell::Cell;
 use std::rc::Rc;
-use std::time::Instant;
 
 use cpucache::PrefetchConfig;
 use optane_core::trace::{TraceEvent, TraceSink};
@@ -34,7 +29,7 @@ use pmem::SimEnv;
 use simbase::XPLINE_BYTES;
 use workloads::YcsbGenerator;
 
-use crate::common::{Curve, ExpResult};
+use crate::common::{ops_per_mcycle, Curve, ExpResult};
 use crate::divergence::WitnessTap;
 
 /// Parameters for E14.
@@ -135,23 +130,49 @@ impl TraceSink for CountingSink {
     }
 }
 
+/// One measured scenario.
+#[derive(Debug)]
+pub struct Scenario {
+    /// Stable scenario id (e.g. `"e0_stream_nosink"`).
+    pub name: String,
+    /// Simulated operations completed.
+    pub sim_ops: u64,
+    /// Simulated cycles elapsed.
+    pub sim_cycles: u64,
+    /// Trace events observed by the attached sink (0 when none).
+    pub trace_events: u64,
+}
+
 /// E14's full output: the scenario table plus a renderable result.
 #[derive(Debug)]
 pub struct E14Output {
     /// One row per (path × attach) scenario, in fixed order.
-    pub scenarios: Vec<bench::Scenario>,
+    pub scenarios: Vec<Scenario>,
     /// Curve form (ops/Mcycle per path, one curve per attachment).
     pub result: ExpResult,
 }
 
-/// Renders the deterministic `BENCH_sim.json` body.
+/// Renders `BENCH_sim.json`.
 pub fn bench_json(out: &E14Output) -> String {
-    bench::render_multi("e14_simspeed", &out.scenarios)
-}
-
-/// Renders the host-dependent `BENCH_sim_wall.json` sidecar.
-pub fn bench_wall_json(out: &E14Output) -> String {
-    bench::render_multi_wall("e14_simspeed", &out.scenarios)
+    let mut s = String::from("{\n  \"experiment\": \"e14_simspeed\",\n  \"scenarios\": [\n");
+    for (i, sc) in out.scenarios.iter().enumerate() {
+        s.push_str("    {\n");
+        s.push_str(&format!("      \"name\": \"{}\",\n", sc.name));
+        s.push_str(&format!("      \"sim_ops\": {},\n", sc.sim_ops));
+        s.push_str(&format!("      \"sim_cycles\": {},\n", sc.sim_cycles));
+        s.push_str(&format!("      \"trace_events\": {},\n", sc.trace_events));
+        s.push_str(&format!(
+            "      \"sim_ops_per_mcycle\": {:.3}\n",
+            ops_per_mcycle(sc.sim_ops, sc.sim_cycles)
+        ));
+        s.push_str(if i + 1 == out.scenarios.len() {
+            "    }\n"
+        } else {
+            "    },\n"
+        });
+    }
+    s.push_str("  ]\n}\n");
+    s
 }
 
 /// Runs the full suite.
@@ -165,18 +186,6 @@ pub fn run(params: &E14Params) -> E14Output {
 /// then stays 0), which is fine for the witness: both children observe
 /// the same thing or the hashes disagree.
 pub fn run_traced(params: &E14Params, tap: Option<&WitnessTap>) -> E14Output {
-    // Untimed warm-up: a full-scale streaming pass on a throwaway machine
-    // grows the allocator arenas and page tables to the same high-water
-    // mark as the first timed scenario, so that scenario does not absorb
-    // process start-up cost into its wall clock (a miniature pass is not
-    // enough: the first scenario would still fault in the full working
-    // set). The machine is discarded; deterministic fields are unaffected.
-    {
-        let mut cfg = MachineConfig::for_generation(params.generation, PrefetchConfig::all(), 1);
-        cfg.crash_seed ^= params.seed;
-        let mut m = Machine::new(cfg);
-        let _ = e0_stream(params, &mut m, &mut None);
-    }
     let mut scenarios = Vec::new();
     let mut curves = vec![
         Curve::new("no sink"),
@@ -195,7 +204,7 @@ pub fn run_traced(params: &E14Params, tap: Option<&WitnessTap>) -> E14Output {
             let (scenario, jsonl) = run_scenario(params, path, attach, tap);
             curves[c].push(
                 x as f64,
-                bench::ops_per_mcycle(scenario.sim_ops, scenario.sim_cycles),
+                ops_per_mcycle(scenario.sim_ops, scenario.sim_cycles),
             );
             if let Some(j) = jsonl {
                 metrics_jsonl.push_str(&j);
@@ -215,45 +224,12 @@ pub fn run_traced(params: &E14Params, tap: Option<&WitnessTap>) -> E14Output {
     E14Output { scenarios, result }
 }
 
-/// Timed repetitions per scenario. The simulated run is a pure function
-/// of the seed, so every repetition produces the same deterministic
-/// fields; only the wall clock varies with host noise, and the minimum
-/// is the standard estimator of the true cost.
-const TIMING_REPS: u32 = 3;
-
 fn run_scenario(
     params: &E14Params,
     path: Path,
     attach: Attach,
     tap: Option<&WitnessTap>,
-) -> (bench::Scenario, Option<String>) {
-    // Under the divergence witness a single repetition keeps the folded
-    // op stream identical to a plain run; timing is not the point there.
-    let reps = if tap.is_some() { 1 } else { TIMING_REPS };
-    let mut best: Option<(bench::Scenario, Option<String>)> = None;
-    for _ in 0..reps {
-        let (scenario, jsonl) = run_scenario_once(params, path, attach, tap);
-        match &mut best {
-            Some((b, _)) => {
-                debug_assert_eq!(b.sim_ops, scenario.sim_ops);
-                debug_assert_eq!(b.sim_cycles, scenario.sim_cycles);
-                if scenario.wall_us < b.wall_us {
-                    b.wall_us = scenario.wall_us;
-                }
-            }
-            None => best = Some((scenario, jsonl)),
-        }
-    }
-    // `reps >= 1`, so `best` is always populated by the first iteration.
-    best.unwrap_or_else(|| run_scenario_once(params, path, attach, tap))
-}
-
-fn run_scenario_once(
-    params: &E14Params,
-    path: Path,
-    attach: Attach,
-    tap: Option<&WitnessTap>,
-) -> (bench::Scenario, Option<String>) {
+) -> (Scenario, Option<String>) {
     let mut cfg = MachineConfig::for_generation(params.generation, PrefetchConfig::all(), 1);
     cfg.crash_seed ^= params.seed;
     let mut m = Machine::new(cfg);
@@ -273,13 +249,11 @@ fn run_scenario_once(
         s.set_context(format!("e14 {}_{}", path.slug(), attach.slug()));
         s
     });
-    let wall = Instant::now();
     let (sim_ops, sim_cycles) = match path {
         Path::E0Stream => e0_stream(params, &mut m, &mut sampler),
         Path::E3WriteAmp => e3_write_amp(params, &mut m, &mut sampler),
         Path::YcsbBtree => ycsb_btree(params, &mut m, &mut sampler),
     };
-    let wall_us = wall.elapsed().as_micros() as u64;
     let jsonl = match &mut sampler {
         Some(s) => {
             s.record_final(&m, sim_cycles);
@@ -290,12 +264,11 @@ fn run_scenario_once(
     if let Some(t) = tap {
         t.fold_machine(&mut m);
     }
-    let scenario = bench::Scenario {
+    let scenario = Scenario {
         name: format!("{}_{}", path.slug(), attach.slug()),
         sim_ops,
         sim_cycles,
         trace_events: events.get(),
-        wall_us,
     };
     (scenario, jsonl)
 }
@@ -442,20 +415,6 @@ mod tests {
             assert_eq!(nosink.sim_cycles, sink.sim_cycles, "{}", sink.name);
             assert_eq!(nosink.sim_cycles, sampler.sim_cycles, "{}", sampler.name);
         }
-    }
-
-    #[test]
-    fn deterministic_fields_are_stable_in_process() {
-        let (a, b) = (run(&E14Params::smoke(7)), run(&E14Params::smoke(7)));
-        assert_eq!(bench_json(&a), bench_json(&b));
-        // And they parse back into the gate's comparable form.
-        let entries = bench::parse_bench(&bench_json(&a)).expect("parses");
-        assert_eq!(entries.len(), 9);
-        assert!(bench::all_pass(&bench::compare(
-            &entries,
-            &bench::parse_bench(&bench_json(&b)).expect("parses"),
-            0.0
-        )));
     }
 
     #[test]

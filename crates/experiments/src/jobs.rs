@@ -242,7 +242,8 @@ mod tests {
         assert!(ids.contains(&"bench".to_string()));
         assert!(ids.contains(&"e15:g1".to_string()));
         assert!(ids.contains(&"e15:g2".to_string()));
-        assert_eq!(ids.len(), 29, "11 per-gen × 2 + 7 singletons: {ids:?}");
+        assert!(ids.contains(&"ablations".to_string()));
+        assert_eq!(ids.len(), 30, "11 per-gen × 2 + 8 singletons: {ids:?}");
         // Canonical order: e0 before e9, pmcheck before faultsim.
         let pos = |id: &str| ids.iter().position(|x| x == id).unwrap();
         assert!(pos("e0:g1") < pos("e9:g1"));
@@ -251,6 +252,43 @@ mod tests {
         assert!(pos("cluster") < pos("rebalance"));
         assert!(pos("rebalance") < pos("bench"));
         assert!(pos("bench") < pos("e15:g1"));
+        assert!(pos("e15:g2") < pos("ablations"));
+    }
+
+    /// The repo-root `BENCH_*.json` files are exact baselines: rendered
+    /// here through the jobs `repro cluster rebalance bench --smoke
+    /// --seed 7` schedules (first attempt, scheduler-derived seed), each
+    /// must match byte for byte. A model change that moves one
+    /// regenerates all three: run that command with `--out bench-out`
+    /// and copy `bench-out/BENCH_*.json` to the repo root.
+    #[test]
+    fn bench_files_match_the_repo_root_copies() {
+        let out = std::env::temp_dir().join(format!("bench-golden-{}", std::process::id()));
+        std::fs::create_dir_all(&out).expect("out dir");
+        let names = ["cluster", "rebalance", "bench"].map(String::from);
+        for job in matrix(&names, &[Generation::G1], Scale::Smoke, &out, None) {
+            let id = job.id();
+            let ctx = JobCtx::detached(id.as_str(), harness::derive_seed(7, &id, 1));
+            job.run(&ctx).unwrap_or_else(|e| panic!("{id}: {e}"));
+        }
+        for (file, golden) in [
+            (
+                "BENCH_cluster.json",
+                include_str!("../../../BENCH_cluster.json"),
+            ),
+            (
+                "BENCH_rebalance.json",
+                include_str!("../../../BENCH_rebalance.json"),
+            ),
+            ("BENCH_sim.json", include_str!("../../../BENCH_sim.json")),
+        ] {
+            let got = std::fs::read_to_string(out.join(file)).expect(file);
+            assert!(
+                got == golden,
+                "{file} differs from the repo-root copy:\n{got}"
+            );
+        }
+        let _ = std::fs::remove_dir_all(&out);
     }
 
     #[test]

@@ -26,11 +26,13 @@
 //! | [`e11_faultsim`] | extension: fault injection + crash-state exploration | — |
 //! | [`e12_cluster`] | extension: fault-tolerant sharded cluster under load | — |
 //! | [`e13_rebalance`] | extension: crash-safe keyspace migration + anti-entropy | — |
-//! | [`e14_simspeed`] | extension: simulator speed benchmark + CI gate | — |
+//! | [`e14_simspeed`] | extension: deterministic simulator-throughput benchmark | — |
 //! | [`e15_mt`] | extension: multi-thread contention on the deterministic executor | — |
+//! | [`ablations`] | model knobs toggled, directions asserted | — |
 
 #![forbid(unsafe_code)]
 
+pub mod ablations;
 pub mod common;
 pub mod divergence;
 pub mod e0_bandwidth;

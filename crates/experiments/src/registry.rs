@@ -12,13 +12,13 @@ use harness::{JobCtx, JobError, JobOutput};
 use optane_core::Generation;
 use std::path::Path;
 
-use crate::common::{log_sweep, ExpError, MetricsSpec};
+use crate::common::{log_sweep, ops_per_mcycle, ExpError, MetricsSpec};
 use crate::divergence::{ChildText, Witness, WitnessTap};
 use crate::jobs::{finish, gen_suffix, Scale};
 use crate::{
-    e0_bandwidth, e10_pmcheck, e11_faultsim, e12_cluster, e13_rebalance, e14_simspeed, e15_mt,
-    e1_read_buffer, e2_prefetch, e3_write_amp, e4_wb_hit, e5_rap, e6_latency, e7_cceh, e8_btree,
-    e9_redirect, ext_mixes, table1,
+    ablations, e0_bandwidth, e10_pmcheck, e11_faultsim, e12_cluster, e13_rebalance, e14_simspeed,
+    e15_mt, e1_read_buffer, e2_prefetch, e3_write_amp, e4_wb_hit, e5_rap, e6_latency, e7_cceh,
+    e8_btree, e9_redirect, ext_mixes, table1,
 };
 
 /// Everything one job attempt needs to run its experiment.
@@ -72,6 +72,7 @@ pub static REGISTRY: &[Entry] = &[
     Entry { name: "rebalance", per_gen: false, run: rebalance, witness: Some(rebalance_witness) },
     Entry { name: "bench", per_gen: false, run: bench, witness: Some(bench_witness) },
     Entry { name: "e15", per_gen: true, run: e15, witness: Some(e15_witness) },
+    Entry { name: "ablations", per_gen: false, run: ablations, witness: None },
 ];
 
 /// The entry named `name`.
@@ -321,19 +322,13 @@ fn cluster(c: &RunCtx) -> Result<JobOutput, JobError> {
         }
     };
     p.metrics = c.metrics;
-    let t0 = std::time::Instant::now();
     let r = e12_cluster::run(&p).map_err(|e| exp_err("cluster", e))?;
-    let wall_us = t0.elapsed().as_micros() as u64;
     let extra = [
         (
             "cluster_availability.txt".into(),
             r.availability_report.clone(),
         ),
         ("BENCH_cluster.json".into(), e12_cluster::bench_json(&r)),
-        (
-            "BENCH_cluster_wall.json".into(),
-            e12_cluster::bench_wall_json(&r, wall_us),
-        ),
     ];
     let tail = if r.validated {
         "\ncluster: every request answered, zero acknowledged-write loss"
@@ -354,16 +349,10 @@ fn rebalance(c: &RunCtx) -> Result<JobOutput, JobError> {
         }
     };
     p.metrics = c.metrics;
-    let t0 = std::time::Instant::now();
     let r = e13_rebalance::run(&p).map_err(|e| exp_err("rebalance", e))?;
-    let wall_us = t0.elapsed().as_micros() as u64;
     let extra = [
         ("rebalance_report.txt".into(), r.rebalance_report.clone()),
         ("BENCH_rebalance.json".into(), e13_rebalance::bench_json(&r)),
-        (
-            "BENCH_rebalance_wall.json".into(),
-            e13_rebalance::bench_wall_json(&r, wall_us),
-        ),
     ];
     let tail = if r.validated {
         "\nrebalance: every drill held the oracles — zero acked-write loss, \
@@ -391,9 +380,8 @@ fn bench(c: &RunCtx) -> Result<JobOutput, JobError> {
         .find(|s| s.name == "e0_stream_nosink")
         .map(|s| {
             format!(
-                "{:.0} sim-ops/wall-sec, {:.1} sim-ops/Mcycle",
-                bench::ops_per_wall_sec(s.sim_ops, s.wall_us),
-                bench::ops_per_mcycle(s.sim_ops, s.sim_cycles)
+                "{:.1} sim-ops/Mcycle",
+                ops_per_mcycle(s.sim_ops, s.sim_cycles)
             )
         })
         .unwrap_or_else(|| "missing".into());
@@ -401,13 +389,7 @@ fn bench(c: &RunCtx) -> Result<JobOutput, JobError> {
         "\nbench: {} scenarios measured; no-sink E0 hot path at {nosink_e0}",
         r.scenarios.len()
     );
-    let extra = [
-        ("BENCH_sim.json".into(), e14_simspeed::bench_json(&r)),
-        (
-            "BENCH_sim_wall.json".into(),
-            e14_simspeed::bench_wall_json(&r),
-        ),
-    ];
+    let extra = [("BENCH_sim.json".into(), e14_simspeed::bench_json(&r))];
     finish(c.out, std::slice::from_ref(&r.result), &extra, &tail, true)
 }
 
@@ -426,6 +408,23 @@ fn e15(c: &RunCtx) -> Result<JobOutput, JobError> {
     })
     .map_err(|e| exp_err("e15", e))?;
     finish(c.out, &r, &[], "", true)
+}
+
+fn ablations(c: &RunCtx) -> Result<JobOutput, JobError> {
+    let knobs = ablations::run();
+    let validated = knobs.iter().all(|k| k.holds);
+    let mut summary = String::from("# Ablations: one model knob at a time, direction asserted\n");
+    for k in &knobs {
+        summary.push_str(&k.line());
+        summary.push('\n');
+    }
+    summary.push_str(if validated {
+        "ablations: every knob moves in its recorded direction"
+    } else {
+        "ablations: FLIPPED — a knob no longer moves in its recorded direction"
+    });
+    let extra = [("ablations.csv".into(), ablations::to_csv(&knobs))];
+    finish(c.out, &[], &extra, &summary, validated)
 }
 
 // Witness workloads: small enough that a bisection (tens of child
@@ -555,5 +554,26 @@ mod tests {
         for e in REGISTRY {
             assert!(words.contains(&e.name), "usage omits {}: {usage}", e.name);
         }
+    }
+
+    #[test]
+    fn ablations_entry_validates() {
+        let out = std::env::temp_dir().join(format!("ablations-{}", std::process::id()));
+        std::fs::create_dir_all(&out).expect("out dir");
+        let job = JobCtx::detached("ablations", 1);
+        let ctx = RunCtx {
+            gen: Generation::G1,
+            gens: &[Generation::G1],
+            scale: Scale::Smoke,
+            seed: 1,
+            metrics: None,
+            out: &out,
+            job: &job,
+        };
+        let r = ablations(&ctx).expect("runs");
+        assert!(r.validated, "{}", r.summary);
+        let csv = std::fs::read_to_string(out.join("ablations.csv")).expect("csv");
+        assert_eq!(csv.lines().count(), 1 + 17, "{csv}");
+        let _ = std::fs::remove_dir_all(&out);
     }
 }
