@@ -182,11 +182,12 @@ pub struct CacheSystem {
     params: CacheParams,
     /// Prefetched lines installed into L2 via [`CacheSystem::fill_prefetch`].
     prefetch_fills: u64,
-    /// Total lines resident across every core's private L1 and L2.
-    /// Zero means `flush` can skip the per-core scan entirely — the
-    /// common case in streaming-write phases, where nt-stores bypass the
-    /// caches and nothing private is ever filled.
-    private_live: usize,
+    /// Bit `c % 64` of word `c / 64` is set while core `c`'s L1 or L2
+    /// may hold a line: set by every fill into them, cleared when a flush
+    /// leaves both empty. `flush` visits only these cores, so a
+    /// single-threaded phase pays for one core, and a streaming-write
+    /// phase, whose nt-stores bypass the caches, for none.
+    occupied: Vec<u64>,
 }
 
 impl CacheSystem {
@@ -209,7 +210,7 @@ impl CacheSystem {
             l3: Cache::new(params.l3_bytes, params.l3_ways),
             params,
             prefetch_fills: 0,
-            private_live: 0,
+            occupied: vec![0; num_cores.div_ceil(64)],
         }
     }
 
@@ -270,26 +271,21 @@ impl CacheSystem {
         }
     }
 
+    fn mark_occupied(&mut self, core: usize) {
+        self.occupied[core / 64] |= 1 << (core % 64);
+    }
+
     fn promote_to_l1(&mut self, core: usize, addr: Addr, dirty: bool, wb: &mut Vec<Addr>) {
-        // `fill` returning an eviction (or refreshing a resident line)
-        // leaves occupancy unchanged; only a free-slot insert grows it.
-        // The before/after length delta captures exactly that.
-        let before = self.cores[core].l1.len();
+        self.mark_occupied(core);
         if let Some(ev) = self.cores[core].l1.fill(addr, dirty) {
-            self.private_live += self.cores[core].l1.len() - before;
             self.insert_l2(core, ev.addr, ev.dirty, wb);
-        } else {
-            self.private_live += self.cores[core].l1.len() - before;
         }
     }
 
     fn insert_l2(&mut self, core: usize, addr: Addr, dirty: bool, wb: &mut Vec<Addr>) {
-        let before = self.cores[core].l2.len();
+        self.mark_occupied(core);
         if let Some(ev) = self.cores[core].l2.fill(addr, dirty) {
-            self.private_live += self.cores[core].l2.len() - before;
             self.insert_l3(ev.addr, ev.dirty, wb);
-        } else {
-            self.private_live += self.cores[core].l2.len() - before;
         }
     }
 
@@ -331,50 +327,38 @@ impl CacheSystem {
     ///
     /// Returns `true` if any copy was dirty (a write-back to memory is
     /// required). A flush instruction acts on every core's private caches,
-    /// but most of them are empty in single-threaded phases — the O(1)
-    /// emptiness check keeps this hot path from scanning ~2×`num_cores`
-    /// sets per flushed line.
+    /// but most of them are empty in single-threaded phases, so only the
+    /// cores in `occupied` are visited; the dirty bit is an OR over them,
+    /// which no visiting order can change.
     pub fn flush(&mut self, addr: Addr, mode: FlushMode) -> bool {
         let addr = addr.cacheline();
         let mut dirty = false;
-        match mode {
-            FlushMode::Invalidate => {
-                if self.private_live > 0 {
-                    for c in &mut self.cores {
-                        if !c.l1.is_empty() {
-                            if let Some(d) = c.l1.invalidate(addr) {
-                                dirty |= d;
-                                self.private_live -= 1;
-                            }
-                        }
-                        if !c.l2.is_empty() {
-                            if let Some(d) = c.l2.invalidate(addr) {
-                                dirty |= d;
-                                self.private_live -= 1;
-                            }
+        for w in 0..self.occupied.len() {
+            let mut bits = self.occupied[w];
+            while bits != 0 {
+                let bit = bits & bits.wrapping_neg();
+                bits ^= bit;
+                let c = &mut self.cores[w * 64 + bit.trailing_zeros() as usize];
+                match mode {
+                    FlushMode::Invalidate => {
+                        dirty |= c.l1.invalidate(addr).unwrap_or(false);
+                        dirty |= c.l2.invalidate(addr).unwrap_or(false);
+                        if c.l1.is_empty() && c.l2.is_empty() {
+                            self.occupied[w] ^= bit;
                         }
                     }
-                }
-                if !self.l3.is_empty() {
-                    dirty |= self.l3.invalidate(addr).unwrap_or(false);
-                }
-            }
-            FlushMode::WriteBackRetain => {
-                if self.private_live > 0 {
-                    for c in &mut self.cores {
-                        if !c.l1.is_empty() {
-                            dirty |= c.l1.clean(addr).unwrap_or(false);
-                        }
-                        if !c.l2.is_empty() {
-                            dirty |= c.l2.clean(addr).unwrap_or(false);
-                        }
+                    FlushMode::WriteBackRetain => {
+                        dirty |= c.l1.clean(addr).unwrap_or(false);
+                        dirty |= c.l2.clean(addr).unwrap_or(false);
                     }
-                }
-                if !self.l3.is_empty() {
-                    dirty |= self.l3.clean(addr).unwrap_or(false);
                 }
             }
         }
+        dirty |= match mode {
+            FlushMode::Invalidate => self.l3.invalidate(addr),
+            FlushMode::WriteBackRetain => self.l3.clean(addr),
+        }
+        .unwrap_or(false);
         dirty
     }
 
@@ -404,7 +388,7 @@ impl CacheSystem {
         dirty.extend(self.l3.drain_dirty());
         dirty.sort();
         dirty.dedup();
-        self.private_live = 0;
+        self.occupied.fill(0);
         dirty
     }
 

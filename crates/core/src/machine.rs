@@ -451,6 +451,9 @@ impl Machine {
                 }
             }
         }
+        if !wbs.is_empty() {
+            self.gc_controller_inflight();
+        }
     }
 
     /// Issues hardware-prefetch fills suggested by a demand access.
@@ -493,8 +496,9 @@ impl Machine {
     /// Offers the PM and DRAM controllers a chance to collect completed
     /// in-flight write records (see [`imc::PmController::gc_inflight`] for
     /// why the min-over-clocks horizon is exact). Called at the end of
-    /// every nt-store and flush, which never issue prefetches and would
-    /// otherwise let the maps grow for an entire write phase.
+    /// every nt-store and flush, which never issue prefetches, and after
+    /// every batch of cache write-backs, so that neither a write phase nor
+    /// an eviction-only phase lets the maps grow without bound.
     fn gc_controller_inflight(&mut self) {
         let Some(horizon) = self.threads.iter().map(|t| t.clock.now()).min() else {
             return;

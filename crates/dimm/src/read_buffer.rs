@@ -14,9 +14,7 @@
 //! sets all four bits, delivering a cacheline clears its bit, and a lookup
 //! of a cleared bit is a miss.
 
-use std::collections::VecDeque;
-
-use simbase::{Addr, HitMiss, CACHELINES_PER_XPLINE};
+use simbase::{Addr, AddrMap, HitMiss, CACHELINES_PER_XPLINE};
 
 /// One buffered XPLine.
 #[derive(Debug, Clone, Copy)]
@@ -42,25 +40,40 @@ impl ReadEntry {
     }
 }
 
+/// Link value meaning "no slot".
+const NIL: usize = usize::MAX;
+
+/// A slot of the FIFO: an entry plus its neighbours in insertion order.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    entry: ReadEntry,
+    /// Next older slot (towards the FIFO victim), or `NIL`.
+    older: usize,
+    /// Next younger slot, or `NIL`.
+    younger: usize,
+}
+
 /// FIFO, CPU-exclusive read buffer.
 ///
-/// Entries are small `Copy` records living in one preallocated ring
-/// (`VecDeque::with_capacity(capacity)`), so steady-state operation never
-/// allocates.
+/// Entries live in a slab of at most `capacity` slots, chained oldest to
+/// youngest; `index` maps each buffered XPLine to its slot. Every
+/// operation, including a `take` from the middle of the FIFO, is a
+/// constant number of map and slab steps, and freed slots are reused, so
+/// steady-state operation never allocates.
 #[derive(Debug, Clone)]
 pub struct ReadBuffer {
-    /// Entries in insertion order; front is the FIFO victim.
-    entries: VecDeque<ReadEntry>,
+    slots: Vec<Slot>,
+    /// Slots not linked into the FIFO.
+    free: Vec<usize>,
+    /// The FIFO victim, or `NIL` when empty.
+    oldest: usize,
+    /// The most recent fill, or `NIL` when empty.
+    youngest: usize,
+    /// XPLine address -> slot.
+    index: AddrMap<usize>,
     capacity: usize,
     hits: u64,
     misses: u64,
-    /// Index of the most recently filled/matched entry. Pure search-order
-    /// hint: XPLine addresses are unique among entries, so checking the
-    /// hinted slot first returns the same entry the linear scan would —
-    /// it makes consecutive cacheline reads of one XPLine O(1). A hint
-    /// left stale by `remove`/`pop_front` simply mismatches and falls
-    /// back to the scan.
-    hint: usize,
 }
 
 /// Result of a read-buffer lookup.
@@ -81,33 +94,67 @@ impl ReadBuffer {
     pub fn new(capacity_lines: usize) -> Self {
         assert!(capacity_lines > 0, "read buffer capacity must be positive");
         ReadBuffer {
-            entries: VecDeque::with_capacity(capacity_lines),
+            slots: Vec::with_capacity(capacity_lines),
+            free: Vec::with_capacity(capacity_lines),
+            oldest: NIL,
+            youngest: NIL,
+            index: AddrMap::new(),
             capacity: capacity_lines,
             hits: 0,
             misses: 0,
-            hint: 0,
         }
     }
 
-    /// Finds the entry for `xpline`, consulting the hint slot first.
-    #[inline]
-    fn find(&mut self, xpline: Addr) -> Option<usize> {
-        if let Some(e) = self.entries.get(self.hint) {
-            if e.xpline == xpline {
-                return Some(self.hint);
+    /// Appends `entry` at the FIFO tail and indexes it.
+    fn push_youngest(&mut self, entry: ReadEntry) {
+        let slot = Slot {
+            entry,
+            older: self.youngest,
+            younger: NIL,
+        };
+        let i = match self.free.pop() {
+            Some(i) => {
+                self.slots[i] = slot;
+                i
             }
+            None => {
+                self.slots.push(slot);
+                self.slots.len() - 1
+            }
+        };
+        match self.youngest {
+            NIL => self.oldest = i,
+            y => self.slots[y].younger = i,
         }
-        let pos = self.entries.iter().position(|e| e.xpline == xpline)?;
-        self.hint = pos;
-        Some(pos)
+        self.youngest = i;
+        self.index.insert(entry.xpline.0, i);
+    }
+
+    /// Unlinks slot `i` from the FIFO and frees it (the caller drops the
+    /// index entry).
+    fn unlink(&mut self, i: usize) -> ReadEntry {
+        let Slot {
+            entry,
+            older,
+            younger,
+        } = self.slots[i];
+        match older {
+            NIL => self.oldest = younger,
+            o => self.slots[o].younger = younger,
+        }
+        match younger {
+            NIL => self.youngest = older,
+            y => self.slots[y].older = older,
+        }
+        self.free.push(i);
+        entry
     }
 
     /// Looks up (and, on a hit, consumes) the cacheline at `addr`.
     pub fn lookup_consume(&mut self, addr: Addr) -> RbLookup {
-        let xpline = addr.xpline();
         let bit = 1u8 << addr.cacheline_in_xpline();
-        if let Some(pos) = self.find(xpline) {
-            let e = &mut self.entries[pos];
+        if let Some(&i) = self.index.get(addr.xpline().0) {
+            let e = &mut self.slots[i].entry;
             if e.valid & bit != 0 {
                 e.valid &= !bit;
                 self.hits += 1;
@@ -128,15 +175,16 @@ impl ReadBuffer {
         let xpline = addr.xpline();
         let mut evicted = None;
         // Replace a stale copy of the same XPLine, if present.
-        if let Some(pos) = self.entries.iter().position(|e| e.xpline == xpline) {
-            self.entries.remove(pos);
-        } else if self.entries.len() >= self.capacity {
-            evicted = self.entries.pop_front().map(|e| e.xpline);
+        if let Some(&i) = self.index.get(xpline.0) {
+            self.unlink(i);
+        } else if self.index.len() >= self.capacity {
+            let victim = self.unlink(self.oldest).xpline;
+            self.index.remove(victim.0);
+            evicted = Some(victim);
         }
         let mut e = ReadEntry::fresh(xpline);
         e.valid &= !(1u8 << addr.cacheline_in_xpline());
-        self.entries.push_back(e);
-        self.hint = self.entries.len() - 1;
+        self.push_youngest(e);
         evicted
     }
 
@@ -145,26 +193,24 @@ impl ReadBuffer {
     /// Used when a write hits the read buffer and the XPLine migrates to
     /// the write buffer (§3.3).
     pub fn take(&mut self, xpline: Addr) -> Option<ReadEntry> {
-        let xpline = xpline.xpline();
-        let pos = self.entries.iter().position(|e| e.xpline == xpline)?;
-        self.entries.remove(pos)
+        let i = self.index.remove(xpline.xpline().0)?;
+        Some(self.unlink(i))
     }
 
     /// Returns `true` if the XPLine containing `addr` is buffered (with any
     /// valid bits remaining).
     pub fn contains_xpline(&self, addr: Addr) -> bool {
-        let xpline = addr.xpline();
-        self.entries.iter().any(|e| e.xpline == xpline)
+        self.index.get(addr.xpline().0).is_some()
     }
 
     /// Returns the number of buffered XPLines.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.index.len()
     }
 
     /// Returns `true` if the buffer is empty.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.index.is_empty()
     }
 
     /// Returns the configured capacity in XPLines.
@@ -185,7 +231,11 @@ impl ReadBuffer {
 
     /// Clears contents and statistics.
     pub fn reset(&mut self) {
-        self.entries.clear();
+        self.slots.clear();
+        self.free.clear();
+        self.oldest = NIL;
+        self.youngest = NIL;
+        self.index.clear();
         self.reset_stats();
     }
 }

@@ -16,7 +16,7 @@
 //!   amplification 1 even for tiny working sets; G2 disables the periodic
 //!   write-back.
 
-use simbase::{Addr, Cycles, HitMiss, SplitMix64, CACHELINES_PER_XPLINE};
+use simbase::{Addr, AddrMap, Cycles, HitMiss, SplitMix64, CACHELINES_PER_XPLINE};
 
 /// One write-buffer slot.
 #[derive(Debug, Clone, Copy)]
@@ -45,6 +45,15 @@ impl WriteEntry {
     pub fn write_only_evict(&self) -> bool {
         self.fully_written() || self.backed
     }
+
+    /// The media traffic evicting this entry generates.
+    fn evict_kind(&self) -> EvictKind {
+        if self.write_only_evict() {
+            EvictKind::WriteOnly
+        } else {
+            EvictKind::ReadModifyWrite
+        }
+    }
 }
 
 /// What kind of media traffic an eviction generates.
@@ -69,21 +78,20 @@ pub struct WriteOutcome {
 ///
 /// Entries are small `Copy` records living in one preallocated slab
 /// (`Vec::with_capacity(capacity)`); slots are recycled in place via
-/// `swap_remove`, so steady-state operation never allocates.
+/// `swap_remove`, so steady-state operation never allocates. The slab
+/// order is observable (the random victim is an index into it), and
+/// `index` maps each buffered XPLine to its position so that lookups
+/// never scan it.
 #[derive(Debug, Clone)]
 pub struct WriteBuffer {
     entries: Vec<WriteEntry>,
+    /// XPLine address -> position in `entries`.
+    index: AddrMap<usize>,
     capacity: usize,
     rng: SplitMix64,
     seed: u64,
     hits: u64,
     misses: u64,
-    /// Index of the most recently matched entry. Pure search-order hint:
-    /// XPLine addresses are unique among entries, so checking the hinted
-    /// slot first returns the same entry the linear scan would — it just
-    /// makes the common streaming pattern (several consecutive cacheline
-    /// writes into one XPLine) O(1) instead of a scan.
-    hint: usize,
     /// Number of fully written entries (periodic-sweep candidates).
     full_candidates: usize,
     /// Conservative lower bound on `last_write` over the fully written
@@ -104,12 +112,12 @@ impl WriteBuffer {
         assert!(capacity_lines > 0, "write buffer capacity must be positive");
         WriteBuffer {
             entries: Vec::with_capacity(capacity_lines),
+            index: AddrMap::new(),
             capacity: capacity_lines,
             rng: SplitMix64::new(seed),
             seed,
             hits: 0,
             misses: 0,
-            hint: 0,
             full_candidates: 0,
             full_since: Cycles::MAX,
         }
@@ -131,17 +139,56 @@ impl WriteBuffer {
         }
     }
 
-    /// Finds the entry for `xpline`, consulting the hint slot first.
+    /// Returns the position of the entry for `xpline`.
     #[inline]
-    fn find(&mut self, xpline: Addr) -> Option<usize> {
-        if let Some(e) = self.entries.get(self.hint) {
-            if e.xpline == xpline {
-                return Some(self.hint);
-            }
+    fn find(&self, xpline: Addr) -> Option<usize> {
+        self.index.get(xpline.0).copied()
+    }
+
+    /// Merges a write of cacheline `bit` at `now` into the entry at `pos`
+    /// (a buffer hit), marking it backed if `backed`.
+    fn coalesce(&mut self, pos: usize, now: Cycles, bit: u8, backed: bool) {
+        let e = &mut self.entries[pos];
+        let was_full = e.fully_written();
+        e.written |= bit;
+        e.backed |= backed;
+        e.last_write = now;
+        if !was_full && e.fully_written() {
+            self.note_became_full(now);
         }
-        let pos = self.entries.iter().position(|e| e.xpline == xpline)?;
-        self.hint = pos;
-        Some(pos)
+        self.hits += 1;
+    }
+
+    /// Evicts a random victim if the buffer is full.
+    fn make_room(&mut self) -> Option<(Addr, EvictKind)> {
+        if self.entries.len() < self.capacity {
+            return None;
+        }
+        let victim = self.rng.gen_range(self.entries.len() as u64) as usize;
+        let e = self.entries.swap_remove(victim);
+        self.index.remove(e.xpline.0);
+        if let Some(moved) = self.entries.get(victim) {
+            self.index.insert(moved.xpline.0, victim);
+        }
+        self.note_removed(&e);
+        Some((e.xpline, e.evict_kind()))
+    }
+
+    /// Appends a new entry to the slab.
+    fn push(&mut self, entry: WriteEntry) {
+        self.index.insert(entry.xpline.0, self.entries.len());
+        self.entries.push(entry);
+        if entry.fully_written() {
+            self.note_became_full(entry.last_write);
+        }
+    }
+
+    /// Re-indexes every entry after the slab was compacted.
+    fn reindex(&mut self) {
+        self.index.clear();
+        for (i, e) in self.entries.iter().enumerate() {
+            self.index.insert(e.xpline.0, i);
+        }
     }
 
     /// Records a 64 B write to `addr` at time `now`.
@@ -152,43 +199,20 @@ impl WriteBuffer {
         let xpline = addr.xpline();
         let bit = 1u8 << addr.cacheline_in_xpline();
         if let Some(pos) = self.find(xpline) {
-            let e = &mut self.entries[pos];
-            let was_full = e.fully_written();
-            e.written |= bit;
-            e.last_write = now;
-            if !was_full && e.fully_written() {
-                self.note_became_full(now);
-            }
-            self.hits += 1;
+            self.coalesce(pos, now, bit, false);
             return WriteOutcome {
                 hit: true,
                 evicted: None,
             };
         }
         self.misses += 1;
-        let evicted = if self.entries.len() >= self.capacity {
-            let victim = self.rng.gen_range(self.entries.len() as u64) as usize;
-            let e = self.entries.swap_remove(victim);
-            self.note_removed(&e);
-            let kind = if e.write_only_evict() {
-                EvictKind::WriteOnly
-            } else {
-                EvictKind::ReadModifyWrite
-            };
-            Some((e.xpline, kind))
-        } else {
-            None
-        };
-        self.entries.push(WriteEntry {
+        let evicted = self.make_room();
+        self.push(WriteEntry {
             xpline,
             written: bit,
             backed: false,
             last_write: now,
         });
-        if bit == FULL_MASK {
-            self.note_became_full(now);
-        }
-        self.hint = self.entries.len() - 1;
         WriteOutcome {
             hit: false,
             evicted,
@@ -204,41 +228,17 @@ impl WriteBuffer {
         let xpline = addr.xpline();
         let bit = 1u8 << addr.cacheline_in_xpline();
         if let Some(pos) = self.find(xpline) {
-            let e = &mut self.entries[pos];
-            let was_full = e.fully_written();
-            e.written |= bit;
-            e.backed = true;
-            e.last_write = now;
-            if !was_full && e.fully_written() {
-                self.note_became_full(now);
-            }
-            self.hits += 1;
+            self.coalesce(pos, now, bit, true);
             return None;
         }
         self.hits += 1; // The write itself hit on-DIMM state (the read buffer).
-        let evicted = if self.entries.len() >= self.capacity {
-            let victim = self.rng.gen_range(self.entries.len() as u64) as usize;
-            let e = self.entries.swap_remove(victim);
-            self.note_removed(&e);
-            let kind = if e.write_only_evict() {
-                EvictKind::WriteOnly
-            } else {
-                EvictKind::ReadModifyWrite
-            };
-            Some((e.xpline, kind))
-        } else {
-            None
-        };
-        self.entries.push(WriteEntry {
+        let evicted = self.make_room();
+        self.push(WriteEntry {
             xpline,
             written: bit,
             backed: true,
             last_write: now,
         });
-        if bit == FULL_MASK {
-            self.note_became_full(now);
-        }
-        self.hint = self.entries.len() - 1;
         evicted
     }
 
@@ -247,17 +247,13 @@ impl WriteBuffer {
     pub fn serves_read(&self, addr: Addr) -> bool {
         let xpline = addr.xpline();
         let bit = 1u8 << addr.cacheline_in_xpline();
-        self.entries
-            .get(self.hint)
-            .filter(|e| e.xpline == xpline)
-            .or_else(|| self.entries.iter().find(|e| e.xpline == xpline))
-            .is_some_and(|e| e.backed || e.written & bit != 0)
+        self.find(xpline)
+            .is_some_and(|i| self.entries[i].backed || self.entries[i].written & bit != 0)
     }
 
     /// Returns `true` if the XPLine containing `addr` has an entry.
     pub fn contains_xpline(&self, addr: Addr) -> bool {
-        let xpline = addr.xpline();
-        self.entries.iter().any(|e| e.xpline == xpline)
+        self.find(addr.xpline()).is_some()
     }
 
     /// Removes and returns every entry with its eviction kind (power-fail
@@ -265,16 +261,10 @@ impl WriteBuffer {
     pub fn drain_all(&mut self) -> Vec<(Addr, EvictKind)> {
         self.full_candidates = 0;
         self.full_since = Cycles::MAX;
+        self.index.clear();
         self.entries
             .drain(..)
-            .map(|e| {
-                let kind = if e.write_only_evict() {
-                    EvictKind::WriteOnly
-                } else {
-                    EvictKind::ReadModifyWrite
-                };
-                (e.xpline, kind)
-            })
+            .map(|e| (e.xpline, e.evict_kind()))
             .collect()
     }
 
@@ -295,6 +285,7 @@ impl WriteBuffer {
                 true
             }
         });
+        self.reindex();
         self.full_candidates = 0;
         self.full_since = Cycles::MAX;
         for e in &self.entries {
@@ -342,6 +333,7 @@ impl WriteBuffer {
     /// behave identically from then on.
     pub fn reset(&mut self) {
         self.entries.clear();
+        self.index.clear();
         self.rng = SplitMix64::new(self.seed);
         self.full_candidates = 0;
         self.full_since = Cycles::MAX;

@@ -31,10 +31,6 @@ impl Default for DramParams {
     }
 }
 
-/// How many in-flight persist records to tolerate before garbage
-/// collecting completed ones.
-const INFLIGHT_GC_THRESHOLD: usize = 1 << 20;
-
 /// Smallest `inflight` population worth garbage-collecting.
 const INFLIGHT_GC_MIN: usize = 1 << 10;
 
@@ -87,9 +83,6 @@ impl DramController {
         let cl = addr.cacheline().0;
         let entry = self.inflight.get_or_insert_with(cl, || 0);
         *entry = (*entry).max(readable_at);
-        if self.inflight.len() >= INFLIGHT_GC_THRESHOLD {
-            self.inflight.retain(|_, &readable| readable > now);
-        }
         (accept, readable_at)
     }
 
