@@ -2,9 +2,8 @@
 //!
 //! The backoff multiplier saturates instead of overflowing: a request
 //! stuck in a retry storm must flatten out at `max_backoff`, never panic
-//! in a debug build because `attempt` pushed the shift past the bit width
-//! (the same hazard the harness scheduler's `RetryPolicy::backoff_after`
-//! clamps against). Jitter is drawn from the caller's seeded RNG, so two
+//! in a debug build because `attempt` pushed the shift past the bit width.
+//! Jitter is drawn from the caller's seeded RNG, so two
 //! runs at the same seed retry at identical simulated instants.
 
 use simbase::SplitMix64;

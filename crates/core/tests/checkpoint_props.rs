@@ -99,8 +99,9 @@ proptest! {
             apply(&mut base, *op);
         }
 
-        // Interrupted run: restore from the *encoded* snapshot (the same
-        // bytes a CheckpointStore would persist), then run the same tail.
+        // Interrupted run: restore from the *encoded* snapshot (the bytes
+        // `divergence` hashes and `cluster::shard` round-trips), then run
+        // the same tail.
         let cfg = MachineConfig::for_generation(gen, PrefetchConfig::none(), 1);
         let decoded = optane_core::MachineSnapshot::decode(&bytes).unwrap();
         let m2 = Machine::restore(cfg, &decoded).unwrap();

@@ -128,17 +128,6 @@ impl Cceh {
         t
     }
 
-    /// Reattaches to an existing table without touching memory.
-    ///
-    /// Unlike [`Cceh::recover`] this performs no reads, so on a timed
-    /// environment it neither advances the clock nor warms the caches —
-    /// required when reattaching from a checkpoint, where the restored
-    /// machine must be indistinguishable from one that kept running. The
-    /// caller supplies the volatile length it saved alongside the root.
-    pub fn from_root(dir: Addr, len: u64) -> Self {
-        Cceh { dir, len }
-    }
-
     /// Returns the directory address (the persistent root of the table).
     pub fn root(&self) -> Addr {
         self.dir

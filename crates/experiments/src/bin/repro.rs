@@ -27,11 +27,10 @@
 //! Every experiment runs as an independent job on a worker pool
 //! (`--parallel N`, default 1). A panicking or hanging experiment is
 //! isolated — its failure is recorded with a typed error in
-//! `results/manifest.json` and the remaining matrix still runs. Long
-//! jobs checkpoint periodically; a killed run restarted with `--resume`
-//! skips completed jobs and resumes interrupted ones from their last
-//! checkpoint, producing byte-identical results to an uninterrupted run
-//! at the same seed.
+//! `results/manifest.json` and the remaining matrix still runs. A killed
+//! run restarted with `--resume` skips completed jobs and runs the
+//! interrupted or failed ones again from the start, producing
+//! byte-identical results to an uninterrupted run at the same seed.
 //!
 //! Exit codes: 0 when every selected job succeeded, 1 when any job
 //! failed (panic, timeout, validation mismatch, I/O), 2 on bad
@@ -75,6 +74,16 @@ fn bad_args(msg: &str) -> ! {
     std::process::exit(2);
 }
 
+/// The value after a value-taking flag. A missing value, or another flag
+/// in its place (`--metrics --smoke`), is a usage error: taking the flag
+/// as the value would silently drop it.
+fn value(args: &mut impl Iterator<Item = String>, need: &str) -> String {
+    match args.next() {
+        Some(v) if !v.starts_with("--") => v,
+        _ => bad_args(need),
+    }
+}
+
 fn parse_args() -> Options {
     let mut which = Vec::new();
     let mut full = false;
@@ -95,16 +104,10 @@ fn parse_args() -> Options {
             "--smoke" => smoke = true,
             "--resume" => resume = true,
             "--out" => {
-                out = PathBuf::from(
-                    args.next()
-                        .unwrap_or_else(|| bad_args("--out needs a directory")),
-                );
+                out = PathBuf::from(value(&mut args, "--out needs a directory"));
             }
             "--gen" => {
-                let g = args
-                    .next()
-                    .unwrap_or_else(|| bad_args("--gen needs g1|g2|both"));
-                gens = match g.as_str() {
+                gens = match value(&mut args, "--gen needs g1|g2|both").as_str() {
                     "g1" | "G1" => vec![Generation::G1],
                     "g2" | "G2" => vec![Generation::G2],
                     "both" => vec![Generation::G1, Generation::G2],
@@ -112,50 +115,42 @@ fn parse_args() -> Options {
                 };
             }
             "--parallel" => {
-                let n = args
-                    .next()
-                    .and_then(|v| v.parse::<usize>().ok())
-                    .unwrap_or_else(|| bad_args("--parallel needs a positive integer"));
-                if n == 0 {
-                    bad_args("--parallel needs a positive integer");
-                }
-                parallel = n;
+                let need = "--parallel needs a positive integer";
+                parallel = match value(&mut args, need).parse::<usize>() {
+                    Ok(n) if n > 0 => n,
+                    _ => bad_args(need),
+                };
             }
             "--deadline" => {
-                let secs = args
-                    .next()
-                    .and_then(|v| v.parse::<f64>().ok())
-                    .unwrap_or_else(|| bad_args("--deadline needs seconds"));
-                if secs <= 0.0 || !secs.is_finite() {
-                    bad_args("--deadline needs positive seconds");
+                let need = "--deadline needs positive seconds";
+                match value(&mut args, need).parse::<f64>() {
+                    Ok(secs) if secs > 0.0 && secs.is_finite() => {
+                        deadline = Some(Duration::from_secs_f64(secs))
+                    }
+                    _ => bad_args(need),
                 }
-                deadline = Some(Duration::from_secs_f64(secs));
             }
             "--seed" => {
-                seed = args
-                    .next()
-                    .and_then(|v| v.parse::<u64>().ok())
-                    .unwrap_or_else(|| bad_args("--seed needs an integer"));
+                let need = "--seed needs an integer";
+                seed = value(&mut args, need)
+                    .parse::<u64>()
+                    .unwrap_or_else(|_| bad_args(need));
             }
             "--metrics" => {
-                metrics = Some(PathBuf::from(
-                    args.next()
-                        .unwrap_or_else(|| bad_args("--metrics needs a file path")),
-                ));
+                metrics = Some(PathBuf::from(value(
+                    &mut args,
+                    "--metrics needs a file path",
+                )));
             }
             "--sample-interval" => {
-                sample_interval = args
-                    .next()
-                    .and_then(|v| v.parse::<u64>().ok())
-                    .unwrap_or_else(|| bad_args("--sample-interval needs a cycle count"));
-                if sample_interval == 0 {
-                    bad_args("--sample-interval needs a positive cycle count");
-                }
+                let need = "--sample-interval needs a positive cycle count";
+                sample_interval = match value(&mut args, need).parse::<u64>() {
+                    Ok(n) if n > 0 => n,
+                    _ => bad_args(need),
+                };
             }
             "--inject" => {
-                let spec = args
-                    .next()
-                    .unwrap_or_else(|| bad_args("--inject needs panic:JOB or hang:JOB"));
+                let spec = value(&mut args, "--inject needs panic:JOB or hang:JOB");
                 let (mode, job) = match spec.split_once(':') {
                     Some(("panic", j)) => (Inject::Panic, j),
                     Some(("hang", j)) => (Inject::Hang, j),

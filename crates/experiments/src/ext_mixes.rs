@@ -32,11 +32,6 @@ pub struct MixParams {
     pub ghz: f64,
     /// Workload generator seed.
     pub seed: u64,
-    /// Checkpoint interval in operations for [`run_resumable`]. The
-    /// machine is quiesced at every chunk boundary, so this value is part
-    /// of the experiment's identity: the same `ckpt_chunk` must be used
-    /// to reproduce the same numbers.
-    pub ckpt_chunk: u64,
 }
 
 impl Default for MixParams {
@@ -48,7 +43,6 @@ impl Default for MixParams {
             initial_depth: 12,
             ghz: 2.1,
             seed: 0x91c5,
-            ckpt_chunk: 25_000,
         }
     }
 }
@@ -117,327 +111,9 @@ fn measure(params: &MixParams, backing: Backing, mix: &OpMix) -> f64 {
     params.ops as f64 / elapsed as f64 * params.ghz * 1e3 // Mops/s
 }
 
-// ----- checkpointed execution under the harness ------------------------
-//
-// The mixes job is the longest-running entry of the matrix at `--full`
-// scale, so it demonstrates the harness's mid-job checkpoint/resume: the
-// run is broken into fixed op chunks and the machine is quiesced and
-// snapshotted (with the generator state, table root, and completed data
-// points) at every chunk boundary. Quiescing is itself deterministic —
-// it happens at the same boundaries on *every* run — so an uninterrupted
-// run, a killed-and-resumed run, and a retried run all produce identical
-// numbers.
-
-/// Magic prefix of a mixes checkpoint payload.
-const CKPT_MAGIC: &str = "MIXCKPT1";
-
-/// Mutable per-pair execution state that survives a checkpoint.
-struct PairState {
-    m: Machine,
-    table: Cceh,
-    gen: YcsbGenerator,
-    /// 0 = load phase, 1 = op phase.
-    phase: u8,
-    /// Records loaded (phase 0) or ops executed (phase 1).
-    done: u64,
-    /// Op-phase start time (cycles); 0 until the op phase begins.
-    start: u64,
-}
-
-fn encode_checkpoint(completed: &[f64], bi: usize, mi: usize, st: &mut PairState) -> Vec<u8> {
-    use simbase::WireWriter;
-    let snap = st.m.checkpoint(); // quiesces st.m deterministically
-    let gen_state = st.gen.state();
-    let mut w = WireWriter::new();
-    w.put_str(CKPT_MAGIC);
-    w.put_u32(completed.len() as u32);
-    for &v in completed {
-        w.put_f64(v);
-    }
-    w.put_u32(bi as u32);
-    w.put_u32(mi as u32);
-    w.put_u8(st.phase);
-    w.put_u64(st.done);
-    w.put_u64(st.start);
-    w.put_u64(st.table.root().0);
-    w.put_u64(st.table.len());
-    w.put_u64(gen_state.rng_state);
-    w.put_u64(gen_state.inserted);
-    w.put_bytes(&snap.encode());
-    w.into_bytes()
-}
-
-/// Decoded checkpoint: completed data points plus the in-flight pair.
-struct DecodedCheckpoint {
-    completed: Vec<f64>,
-    bi: usize,
-    mi: usize,
-    state: PairState,
-}
-
-fn decode_checkpoint(params: &MixParams, payload: &[u8]) -> Option<DecodedCheckpoint> {
-    use optane_core::MachineSnapshot;
-    use simbase::{Addr, WireReader};
-    let mut r = WireReader::new(payload);
-    if r.get_string().ok()? != CKPT_MAGIC {
-        return None;
-    }
-    let n = r.get_u32().ok()? as usize;
-    let mut completed = Vec::with_capacity(n);
-    for _ in 0..n {
-        completed.push(r.get_f64().ok()?);
-    }
-    let bi = r.get_u32().ok()? as usize;
-    let mi = r.get_u32().ok()? as usize;
-    let phase = r.get_u8().ok()?;
-    let done = r.get_u64().ok()?;
-    let start = r.get_u64().ok()?;
-    let root = Addr(r.get_u64().ok()?);
-    let table_len = r.get_u64().ok()?;
-    let rng_state = r.get_u64().ok()?;
-    let inserted = r.get_u64().ok()?;
-    let snap_bytes = r.get_bytes().ok()?;
-    let snap = MachineSnapshot::decode(snap_bytes).ok()?;
-    let cfg = MachineConfig::for_generation(params.generation, PrefetchConfig::all(), 1);
-    let m = Machine::restore(cfg, &snap).ok()?;
-    // `Cceh::recover` would re-count pairs through the cache hierarchy,
-    // perturbing the restored clock; reattach untimed instead.
-    let table = Cceh::from_root(root, table_len);
-    let mut gen = YcsbGenerator::new(
-        params.seed,
-        KeyDistribution::Zipfian(YcsbGenerator::ZIPFIAN_THETA),
-        params.records,
-    );
-    gen.restore_state(&workloads::YcsbState {
-        rng_state,
-        inserted,
-    });
-    Some(DecodedCheckpoint {
-        completed,
-        bi,
-        mi,
-        state: PairState {
-            m,
-            table,
-            gen,
-            phase,
-            done,
-            start,
-        },
-    })
-}
-
-fn mk_env(m: &mut Machine, tid: optane_core::ThreadId, backing: Backing) -> SimEnv<'_> {
-    match backing {
-        Backing::Pm => SimEnv::new(m, tid),
-        Backing::Dram => SimEnv::volatile_backed(m, tid),
-    }
-}
-
-/// Runs the mixes with periodic checkpoints through the harness job
-/// context. An interrupted run resumes from its last checkpoint; results
-/// are identical to an uninterrupted run at the same parameters.
-pub fn run_resumable(
-    params: &MixParams,
-    ctx: &harness::JobCtx,
-) -> Result<ExpResult, harness::JobError> {
-    use harness::JobError;
-    use pmem::PmemEnv;
-    let backings = [Backing::Pm, Backing::Dram];
-    let mix_list = mixes();
-
-    // Resume from a surviving checkpoint, if any. An undecodable payload
-    // (format drift, foreign file) falls back to a fresh run.
-    let mut resumed: Option<DecodedCheckpoint> = ctx
-        .load_checkpoint()?
-        .and_then(|(_, payload)| decode_checkpoint(params, &payload));
-    let mut completed: Vec<f64> = resumed
-        .as_ref()
-        .map(|d| d.completed.clone())
-        .unwrap_or_default();
-    let mut step: u64 = 0;
-
-    for (bi, backing) in backings.iter().enumerate() {
-        for (mi, (_, mix)) in mix_list.iter().enumerate() {
-            let pair_idx = bi * mix_list.len() + mi;
-            if pair_idx < completed.len() {
-                continue; // measured before the interruption
-            }
-            // Pick up the in-flight pair from the checkpoint or start it
-            // from scratch. A checkpoint for a *different* pair than the
-            // one we need is stale (should not happen) — ignore it.
-            let mut st = match resumed.take() {
-                Some(d) if d.bi == bi && d.mi == mi => d.state,
-                _ => {
-                    let cfg =
-                        MachineConfig::for_generation(params.generation, PrefetchConfig::all(), 1);
-                    let mut m = Machine::new(cfg);
-                    let tid = m.spawn(0);
-                    let table = {
-                        let mut env = mk_env(&mut m, tid, *backing);
-                        Cceh::create(&mut env, params.initial_depth)
-                    };
-                    let gen = YcsbGenerator::new(
-                        params.seed,
-                        KeyDistribution::Zipfian(YcsbGenerator::ZIPFIAN_THETA),
-                        params.records,
-                    );
-                    PairState {
-                        m,
-                        table,
-                        gen,
-                        phase: 0,
-                        done: 0,
-                        start: 0,
-                    }
-                }
-            };
-            let tid = optane_core::ThreadId(0);
-
-            let ckpt_chunk = params.ckpt_chunk.max(1);
-
-            // Load phase, in checkpointed chunks.
-            while st.phase == 0 && st.done < params.records {
-                let chunk = ckpt_chunk.min(params.records - st.done);
-                {
-                    let mut env = mk_env(&mut st.m, tid, *backing);
-                    for _ in 0..chunk {
-                        let k = st.gen.next_insert_key().max(1);
-                        st.table.insert(&mut env, k, k);
-                    }
-                    ctx.report_sim_time(env.now());
-                }
-                st.done += chunk;
-                step += 1;
-                let payload = encode_checkpoint(&completed, bi, mi, &mut st);
-                ctx.save_checkpoint(step, &payload)?;
-                if ctx.cancelled() {
-                    return Err(JobError::Failed("cancelled at a checkpoint".into()));
-                }
-            }
-            if st.phase == 0 {
-                st.phase = 1;
-                st.done = 0;
-                let env = mk_env(&mut st.m, tid, *backing);
-                st.start = env.now();
-            }
-
-            // Op phase, in checkpointed chunks.
-            while st.done < params.ops {
-                let chunk = ckpt_chunk.min(params.ops - st.done);
-                {
-                    let mut env = mk_env(&mut st.m, tid, *backing);
-                    for _ in 0..chunk {
-                        match st.gen.next_op(mix) {
-                            (OpKind::Read, k) => {
-                                st.table.get(&mut env, k.max(1));
-                            }
-                            (OpKind::Update, k) | (OpKind::Insert, k) => {
-                                st.table.insert(&mut env, k.max(1), k);
-                            }
-                        }
-                    }
-                    ctx.report_sim_time(env.now());
-                }
-                st.done += chunk;
-                if st.done < params.ops {
-                    step += 1;
-                    let payload = encode_checkpoint(&completed, bi, mi, &mut st);
-                    ctx.save_checkpoint(step, &payload)?;
-                    if ctx.cancelled() {
-                        return Err(JobError::Failed("cancelled at a checkpoint".into()));
-                    }
-                }
-            }
-
-            let end = {
-                let env = mk_env(&mut st.m, tid, *backing);
-                env.now()
-            };
-            let elapsed = end.saturating_sub(st.start).max(1);
-            completed.push(params.ops as f64 / elapsed as f64 * params.ghz * 1e3);
-        }
-    }
-    ctx.clear_checkpoint()?;
-
-    let mut result = ExpResult::new(
-        format!("EXT / YCSB mixes on CCEH ({})", params.generation),
-        "mix(0=A,1=B,2=C)",
-        "Mops/s",
-    );
-    for (bi, _) in backings.iter().enumerate() {
-        let label = if bi == 0 { "PM" } else { "DRAM" };
-        let mut curve = Curve::new(label);
-        for (mi, _) in mix_list.iter().enumerate() {
-            curve.push(mi as f64, completed[bi * mix_list.len() + mi]);
-        }
-        result.curves.push(curve);
-    }
-    Ok(result)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-    use std::sync::Arc;
-
-    #[test]
-    fn resumable_run_matches_itself_and_survives_interruption() {
-        let params = MixParams {
-            records: 4000,
-            ops: 4000,
-            ckpt_chunk: 1500, // several checkpoints per phase
-            ..MixParams::default()
-        };
-        // Uninterrupted checkpointed run (no store: quiesces happen, the
-        // payload write is skipped).
-        let full = run_resumable(&params, &harness::JobCtx::detached("mixes-test", 1)).unwrap();
-
-        // Interrupted run: cancel fires at the first checkpoint, then a
-        // second context resumes from the surviving checkpoint file.
-        let dir = std::env::temp_dir().join(format!("mixes_resume_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let store = harness::CheckpointStore::new(&dir).unwrap();
-        let cancel = Arc::new(AtomicBool::new(true)); // pre-armed
-        let ctx1 = harness::JobCtx::new(
-            "mixes-test",
-            1,
-            1,
-            Arc::clone(&cancel),
-            Arc::new(AtomicU64::new(0)),
-            Some(store.clone()),
-        );
-        let interrupted = run_resumable(&params, &ctx1);
-        assert!(interrupted.is_err(), "pre-armed cancel interrupts the run");
-        assert!(
-            store.load("mixes-test").unwrap().is_some(),
-            "a checkpoint survives the interruption"
-        );
-        let ctx2 = harness::JobCtx::new(
-            "mixes-test",
-            1,
-            1,
-            Arc::new(AtomicBool::new(false)),
-            Arc::new(AtomicU64::new(0)),
-            Some(store.clone()),
-        );
-        let resumed = run_resumable(&params, &ctx2).unwrap();
-        assert!(
-            store.load("mixes-test").unwrap().is_none(),
-            "checkpoint cleared after completion"
-        );
-        // Byte-identical results: every point matches exactly.
-        for (cf, cr) in full.curves.iter().zip(resumed.curves.iter()) {
-            assert_eq!(cf.label, cr.label);
-            for (pf, pr) in cf.points.iter().zip(cr.points.iter()) {
-                assert_eq!(pf.1.to_bits(), pr.1.to_bits(), "curve {}", cf.label);
-            }
-        }
-        let _ = std::fs::remove_dir_all(&dir);
-        // Unused-field silencer: cancel flag still set.
-        assert!(cancel.load(Ordering::Relaxed));
-    }
 
     #[test]
     fn read_heavier_mixes_are_faster_on_pm() {

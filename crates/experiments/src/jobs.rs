@@ -127,7 +127,6 @@ impl Job for ExperimentJob {
             seed: ctx.seed,
             metrics: self.metrics,
             out: &self.out,
-            job: ctx,
         })
     }
 }
@@ -179,7 +178,7 @@ pub fn matrix(
 pub enum Inject {
     /// Panic immediately (exercises `catch_unwind` isolation).
     Panic,
-    /// Hang until the watchdog cancels the attempt (exercises the
+    /// Hang until the watchdog cancels the job (exercises the
     /// deadline path).
     Hang,
 }
@@ -257,8 +256,8 @@ mod tests {
 
     /// The repo-root `BENCH_*.json` files are exact baselines: rendered
     /// here through the jobs `repro cluster rebalance bench --smoke
-    /// --seed 7` schedules (first attempt, scheduler-derived seed), each
-    /// must match byte for byte. A model change that moves one
+    /// --seed 7` schedules (scheduler-derived seeds), each must match
+    /// byte for byte. A model change that moves one
     /// regenerates all three: run that command with `--out bench-out`
     /// and copy `bench-out/BENCH_*.json` to the repo root.
     #[test]
@@ -268,7 +267,7 @@ mod tests {
         let names = ["cluster", "rebalance", "bench"].map(String::from);
         for job in matrix(&names, &[Generation::G1], Scale::Smoke, &out, None) {
             let id = job.id();
-            let ctx = JobCtx::detached(id.as_str(), harness::derive_seed(7, &id, 1));
+            let ctx = JobCtx::detached(id.as_str(), harness::derive_seed(7, &id));
             job.run(&ctx).unwrap_or_else(|e| panic!("{id}: {e}"));
         }
         for (file, golden) in [

@@ -8,7 +8,7 @@
 //! adding one entry here; the matrix order, the usage strings, and
 //! `repro divergence all` follow from the table's order.
 
-use harness::{JobCtx, JobError, JobOutput};
+use harness::{JobError, JobOutput};
 use optane_core::Generation;
 use std::path::Path;
 
@@ -21,7 +21,7 @@ use crate::{
     e8_btree, e9_redirect, ext_mixes, table1,
 };
 
-/// Everything one job attempt needs to run its experiment.
+/// Everything one job needs to run its experiment.
 pub struct RunCtx<'a> {
     /// The job's generation. Generation-independent entries run once
     /// and take the first selected generation here.
@@ -29,13 +29,12 @@ pub struct RunCtx<'a> {
     /// Every selected generation (E8 sweeps them inside one job).
     pub gens: &'a [Generation],
     pub scale: Scale,
-    /// The scheduler's seed for this `(job, attempt)`.
+    /// The scheduler's seed for this job.
     pub seed: u64,
     /// `simwatch` sampling, when `--metrics` is on.
     pub metrics: Option<MetricsSpec>,
     /// The results directory.
     pub out: &'a Path,
-    pub job: &'a JobCtx,
 }
 
 /// One experiment.
@@ -201,17 +200,12 @@ fn e8(c: &RunCtx) -> Result<JobOutput, JobError> {
 }
 
 fn mixes(c: &RunCtx) -> Result<JobOutput, JobError> {
-    // The checkpoint-aware path: the longest job of the matrix resumes
-    // mid-run after an interruption.
-    let r = ext_mixes::run_resumable(
-        &ext_mixes::MixParams {
-            generation: c.gen,
-            records: if c.scale.full() { 500_000 } else { 50_000 },
-            ops: if c.scale.full() { 500_000 } else { 50_000 },
-            ..Default::default()
-        },
-        c.job,
-    )?;
+    let r = ext_mixes::run(&ext_mixes::MixParams {
+        generation: c.gen,
+        records: if c.scale.full() { 500_000 } else { 50_000 },
+        ops: if c.scale.full() { 500_000 } else { 50_000 },
+        ..Default::default()
+    });
     finish(c.out, &[r], &[], "", true)
 }
 
@@ -560,7 +554,6 @@ mod tests {
     fn ablations_entry_validates() {
         let out = std::env::temp_dir().join(format!("ablations-{}", std::process::id()));
         std::fs::create_dir_all(&out).expect("out dir");
-        let job = JobCtx::detached("ablations", 1);
         let ctx = RunCtx {
             gen: Generation::G1,
             gens: &[Generation::G1],
@@ -568,7 +561,6 @@ mod tests {
             seed: 1,
             metrics: None,
             out: &out,
-            job: &job,
         };
         let r = ablations(&ctx).expect("runs");
         assert!(r.validated, "{}", r.summary);

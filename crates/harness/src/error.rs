@@ -3,28 +3,25 @@
 use std::fmt;
 use std::time::Duration;
 
-/// Why a job attempt failed. Every failure mode the supervisor can
+/// Why a job failed. Every failure mode the supervisor can
 /// observe maps to exactly one variant, so manifests and reports can
 /// classify failures without string matching.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum JobError {
     /// The job panicked; the payload message is preserved.
     Panic(String),
-    /// The job exceeded its deadline (wall clock, or the simulated-cycle
-    /// bound for jobs that report simulated progress).
+    /// The job exceeded its wall-clock deadline.
     Timeout {
-        /// How long the attempt had been running when it was killed.
+        /// How long the job had been running when it was killed.
         elapsed: Duration,
-        /// The wall-clock deadline it exceeded, when one was configured.
-        /// `None` means the attempt was killed by the simulated-cycle
-        /// watchdog (or a cancel), with no wall-clock bound set — there
-        /// is no wall deadline to report in that case.
+        /// The wall-clock deadline it exceeded. `None` when the deadline
+        /// is not known, as for a timeout read back from a manifest.
         deadline: Option<Duration>,
     },
     /// The job ran but its cross-validation (pmcheck, faultsim) found a
     /// mismatch between checker verdicts and ground truth.
     Validation(String),
-    /// Reading or writing artifacts/checkpoints failed.
+    /// Reading or writing artifacts failed.
     Io(String),
     /// The job reported a typed domain failure (bad parameters, …).
     Failed(String),
@@ -121,9 +118,9 @@ mod tests {
 
     #[test]
     fn timeout_without_deadline_does_not_fabricate_one() {
-        // Regression: a simulated-cycle timeout has no wall-clock
-        // deadline; the message used to claim the elapsed time WAS the
-        // deadline ("exceeded 3.0s deadline after 3.0s").
+        // Regression: a timeout with no known deadline used to claim the
+        // elapsed time WAS the deadline ("exceeded 3.0s deadline after
+        // 3.0s").
         let e = JobError::Timeout {
             elapsed: Duration::from_secs(3),
             deadline: None,

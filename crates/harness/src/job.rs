@@ -1,13 +1,12 @@
 //! The job abstraction: what the scheduler runs.
 
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use crate::checkpoint::CheckpointStore;
 use crate::error::JobError;
 
-/// What a successful job attempt produced.
+/// What a successful job produced.
 #[derive(Debug, Clone, Default)]
 pub struct JobOutput {
     /// Files the job wrote (paths relative to the output directory or
@@ -37,117 +36,58 @@ impl JobOutput {
     }
 }
 
-/// Per-attempt context handed to a running job.
+/// Context handed to a running job.
 ///
-/// Carries the deterministic seed for this `(job, attempt)`, the
-/// cooperative-cancellation flag the watchdog sets when a deadline
-/// passes, the simulated-clock progress cell the watchdog reads, and the
-/// checkpoint store for resumable jobs.
+/// Carries the deterministic seed for this job and the
+/// cooperative-cancellation flag the watchdog sets when the deadline
+/// passes.
 pub struct JobCtx {
-    /// The job's id (for checkpoint naming and logs).
+    /// The job's id (for logs).
     pub job_id: String,
-    /// 1-based attempt number.
-    pub attempt: u32,
-    /// Seed derived from `(base seed, job id, attempt)`.
+    /// Seed derived from `(base seed, job id)`.
     pub seed: u64,
     cancel: Arc<AtomicBool>,
-    sim_now: Arc<AtomicU64>,
-    checkpoints: Option<CheckpointStore>,
 }
 
 impl JobCtx {
     /// Creates a context. The scheduler builds these; tests may too.
-    pub fn new(
-        job_id: impl Into<String>,
-        attempt: u32,
-        seed: u64,
-        cancel: Arc<AtomicBool>,
-        sim_now: Arc<AtomicU64>,
-        checkpoints: Option<CheckpointStore>,
-    ) -> Self {
+    pub fn new(job_id: impl Into<String>, seed: u64, cancel: Arc<AtomicBool>) -> Self {
         JobCtx {
             job_id: job_id.into(),
-            attempt,
             seed,
             cancel,
-            sim_now,
-            checkpoints,
         }
     }
 
     /// A detached context for running a job outside the scheduler (unit
-    /// tests, one-off invocations): never cancelled, no checkpoints.
+    /// tests, one-off invocations): never cancelled.
     pub fn detached(job_id: impl Into<String>, seed: u64) -> Self {
-        JobCtx::new(
-            job_id,
-            1,
-            seed,
-            Arc::new(AtomicBool::new(false)),
-            Arc::new(AtomicU64::new(0)),
-            None,
-        )
+        JobCtx::new(job_id, seed, Arc::new(AtomicBool::new(false)))
     }
 
-    /// `true` once the watchdog has asked this attempt to stop (deadline
+    /// `true` once the watchdog has asked this job to stop (deadline
     /// exceeded). Long-running jobs should poll this at natural
     /// boundaries (between data points, every few thousand ops) and bail
-    /// out with any error — the supervisor records the attempt as timed
-    /// out regardless.
+    /// out with any error — the supervisor records the job as timed out
+    /// regardless.
     pub fn cancelled(&self) -> bool {
         self.cancel.load(Ordering::Relaxed)
-    }
-
-    /// Reports the job's current simulated time (cycles). The watchdog
-    /// compares this against the simulated-cycle deadline, if one is
-    /// configured.
-    pub fn report_sim_time(&self, cycles: u64) {
-        self.sim_now.store(cycles, Ordering::Relaxed);
-    }
-
-    /// Saves a checkpoint payload for this job (atomic write). `step` is
-    /// a monotonically increasing progress marker; [`JobCtx::load_checkpoint`]
-    /// returns the payload with the highest step.
-    pub fn save_checkpoint(&self, step: u64, payload: &[u8]) -> Result<(), JobError> {
-        match &self.checkpoints {
-            Some(store) => store.save(&self.job_id, step, payload),
-            None => Ok(()), // detached runs silently skip checkpointing
-        }
-    }
-
-    /// Loads this job's most recent checkpoint, if any survives from an
-    /// interrupted run.
-    pub fn load_checkpoint(&self) -> Result<Option<(u64, Vec<u8>)>, JobError> {
-        match &self.checkpoints {
-            Some(store) => store.load(&self.job_id),
-            None => Ok(None),
-        }
-    }
-
-    /// Removes this job's checkpoint (called by jobs after a completed
-    /// run so stale state cannot leak into a later resume; the scheduler
-    /// also clears checkpoints of completed jobs).
-    pub fn clear_checkpoint(&self) -> Result<(), JobError> {
-        match &self.checkpoints {
-            Some(store) => store.clear(&self.job_id),
-            None => Ok(()),
-        }
     }
 }
 
 /// A schedulable unit of work.
 ///
 /// Implementations must be `Send + Sync`: the scheduler runs jobs on
-/// worker threads and may retry them. A job must be *re-runnable* — a
-/// retried attempt starts from the job's own checkpoint or from scratch,
-/// and must not depend on leftovers from a failed attempt (artifact
-/// writes go through [`crate::write_atomic`], so torn files cannot
-/// exist).
+/// worker threads. A job must be *re-runnable* — a killed or failed job
+/// is run again from scratch by a later `--resume`, and must not depend
+/// on leftovers from the earlier run (artifact writes go through
+/// [`crate::write_atomic`], so torn files cannot exist).
 pub trait Job: Send + Sync {
-    /// Stable, unique id (e.g. `"e2:g1"`). Used for manifest keys,
-    /// checkpoint names, seed derivation, and selection.
+    /// Stable, unique id (e.g. `"e2:g1"`). Used for manifest keys, seed
+    /// derivation, and selection.
     fn id(&self) -> String;
 
-    /// Runs one attempt.
+    /// Runs the job.
     fn run(&self, ctx: &JobCtx) -> Result<JobOutput, JobError>;
 }
 
@@ -156,11 +96,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn detached_ctx_never_cancels_and_skips_checkpoints() {
+    fn detached_ctx_never_cancels() {
         let ctx = JobCtx::detached("t", 42);
         assert!(!ctx.cancelled());
         assert_eq!(ctx.seed, 42);
-        ctx.save_checkpoint(1, b"ignored").unwrap();
-        assert_eq!(ctx.load_checkpoint().unwrap(), None);
     }
 }

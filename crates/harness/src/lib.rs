@@ -8,20 +8,19 @@
 //! - **Jobs.** Each experiment is a [`Job`]: a named, self-contained unit
 //!   that produces artifacts and a summary. Jobs are independent and may
 //!   run on a worker pool ([`Scheduler`]).
-//! - **Isolation.** Every attempt runs under `catch_unwind`; a panic
-//!   becomes a typed [`JobError::Panic`] record, not a dead run.
-//! - **Deadlines.** A watchdog enforces a wall-clock deadline per job
-//!   (and a simulated-cycle bound for jobs that report progress); a hung
-//!   job is abandoned and recorded as [`JobError::Timeout`] while the
-//!   rest of the matrix completes.
-//! - **Retry.** Failed attempts are retried with exponential backoff, and
-//!   each attempt's RNG seed is derived deterministically from
-//!   `(base seed, job id, attempt)`.
-//! - **Checkpoint/resume.** Long jobs periodically save state through
-//!   [`CheckpointStore`]; the run [`Manifest`] (written atomically after
-//!   every state change) records per-job status so a killed run resumes
-//!   by skipping completed jobs and restarting incomplete ones from their
-//!   last checkpoint.
+//! - **Isolation.** Every job runs under `catch_unwind`; a panic becomes
+//!   a typed [`JobError::Panic`] record, not a dead run.
+//! - **Deadlines.** A watchdog enforces a wall-clock deadline per job; a
+//!   hung job is abandoned and recorded as [`JobError::Timeout`] while
+//!   the rest of the matrix completes.
+//! - **One run per job.** Each job runs once, with an RNG seed derived
+//!   deterministically from `(base seed, job id)`. Nothing is retried:
+//!   the simulator is deterministic, so a failure recurs at the same
+//!   seed.
+//! - **Resume.** The run [`Manifest`] (written atomically after every
+//!   state change) records per-job status, so a killed run resumes at
+//!   job granularity: completed jobs are skipped, and interrupted or
+//!   failed ones run again from the start.
 //!
 //! The crate is deliberately simulator-agnostic: it knows nothing about
 //! machines or experiments, only jobs, errors, files, and time. The
@@ -29,7 +28,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod checkpoint;
 pub mod error;
 pub mod fsutil;
 pub mod job;
@@ -37,10 +35,9 @@ pub mod jsonio;
 pub mod manifest;
 pub mod scheduler;
 
-pub use checkpoint::CheckpointStore;
 pub use error::JobError;
 pub use fsutil::write_atomic;
 pub use job::{Job, JobCtx, JobOutput};
 pub use jsonio::JsonValue;
 pub use manifest::{JobRecord, JobStatus, Manifest};
-pub use scheduler::{derive_seed, RetryPolicy, RunConfig, RunReport, Scheduler};
+pub use scheduler::{derive_seed, RunConfig, RunReport, Scheduler};

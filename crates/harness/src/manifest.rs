@@ -28,12 +28,12 @@ pub enum JobStatus {
     /// still lists the full matrix).
     Pending,
     /// Started and not finished when the manifest was written — on
-    /// resume this means "the run was killed mid-job; start over from
-    /// the job's checkpoint".
+    /// resume this means "the run was killed mid-job; run it again from
+    /// the start".
     Running,
     /// Completed and validated.
     Done,
-    /// Failed after all retries; carries the final error.
+    /// Failed; carries the error.
     Failed(JobError),
 }
 
@@ -53,9 +53,7 @@ impl JobStatus {
 pub struct JobRecord {
     /// Current status.
     pub status: JobStatus,
-    /// Attempts consumed so far (including the failed ones).
-    pub attempts: u32,
-    /// Wall-clock milliseconds of the finishing attempt (0 until done).
+    /// Wall-clock milliseconds of the job's run (0 until it finishes).
     pub wall_ms: u64,
     /// Artifacts the job produced.
     pub artifacts: Vec<PathBuf>,
@@ -67,7 +65,6 @@ impl JobRecord {
     fn new() -> Self {
         JobRecord {
             status: JobStatus::Pending,
-            attempts: 0,
             wall_ms: 0,
             artifacts: Vec::new(),
             summary: String::new(),
@@ -132,7 +129,6 @@ impl Manifest {
                         "status".to_string(),
                         JsonValue::String(r.status.tag().into()),
                     ),
-                    ("attempts".to_string(), JsonValue::Number(r.attempts as f64)),
                     ("wall_ms".to_string(), JsonValue::Number(r.wall_ms as f64)),
                     (
                         "artifacts".to_string(),
@@ -222,7 +218,6 @@ impl Manifest {
                 id.clone(),
                 JobRecord {
                     status,
-                    attempts: jr.get("attempts").and_then(JsonValue::as_u64).unwrap_or(0) as u32,
                     wall_ms: jr.get("wall_ms").and_then(JsonValue::as_u64).unwrap_or(0),
                     artifacts,
                     summary: jr
@@ -264,7 +259,6 @@ mod tests {
         {
             let r = m.record_mut("e0:g1");
             r.status = JobStatus::Done;
-            r.attempts = 1;
             r.wall_ms = 123;
             r.artifacts = vec![PathBuf::from("e0_g1.csv")];
             r.summary = "ok".into();
@@ -272,13 +266,8 @@ mod tests {
         {
             let r = m.record_mut("e7");
             r.status = JobStatus::Failed(JobError::Panic("index out of bounds".into()));
-            r.attempts = 3;
         }
-        {
-            let r = m.record_mut("mixes:g2");
-            r.status = JobStatus::Running;
-            r.attempts = 1;
-        }
+        m.record_mut("mixes:g2").status = JobStatus::Running;
         m
     }
 

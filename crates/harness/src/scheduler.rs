@@ -1,39 +1,41 @@
-//! The supervised scheduler: worker pool, panic isolation, watchdog
-//! deadlines, retry with backoff, and manifest-driven resume.
+//! The supervised scheduler: worker pool, panic isolation, a wall-clock
+//! watchdog, and manifest-driven resume.
 //!
 //! Threading model: each running job gets its own OS thread whose body is
 //! wrapped in `catch_unwind`, so a panicking experiment becomes a typed
 //! [`JobError::Panic`] instead of tearing the process down. Rust cannot
 //! kill a thread, so deadlines are enforced cooperatively: the supervisor
-//! sets the attempt's cancel flag when the wall- or simulated-clock
-//! budget is exhausted, waits a short grace period, and — if the job
-//! still refuses to yield — *abandons* the thread (records a
-//! [`JobError::Timeout`], frees the worker slot, and lets the detached
-//! thread die with the process). A well-behaved job polls
-//! [`JobCtx::cancelled`] at natural boundaries and exits promptly.
+//! sets the job's cancel flag when its wall-clock budget is exhausted,
+//! waits a short grace period, and — if the job still refuses to yield —
+//! *abandons* the thread (records a [`JobError::Timeout`], frees the
+//! worker slot, and lets the detached thread die with the process). A
+//! well-behaved job polls [`JobCtx::cancelled`] at natural boundaries and
+//! exits promptly.
 //!
-//! All scheduling decisions are deterministic functions of the job list
-//! and configuration; only *timing* (and therefore failure of hung jobs)
-//! depends on the wall clock. Seeds are derived per `(job, attempt)` so a
-//! retried attempt replays the exact same stimulus.
+//! Every job runs exactly once per invocation; a failed job stays failed
+//! until a later `--resume` runs it again. The simulator is
+//! deterministic, so a second run at the same seed would fail the same
+//! way. Seeds are derived per job id, so a job re-run on resume replays
+//! the exact same stimulus.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use crate::checkpoint::CheckpointStore;
 use crate::error::JobError;
 use crate::job::{Job, JobCtx, JobOutput};
 use crate::manifest::{JobStatus, Manifest};
 
-/// Derives the seed for one `(base, job, attempt)` triple. FNV-1a over
-/// the job id folded with the base seed and attempt, then finalized with
-/// a SplitMix64-style mix so adjacent attempts land far apart.
-pub fn derive_seed(base_seed: u64, job_id: &str, attempt: u32) -> u64 {
+/// Derives the seed for one `(base, job)` pair. FNV-1a over the job id
+/// folded with the base seed and a fixed golden-ratio term, then
+/// finalized with a SplitMix64-style mix so adjacent ids land far apart.
+/// Every checked-in output was produced with these seeds, so the fixed
+/// term (`0x9e3779b97f4a7c15 × 2`) is part of their identity.
+pub fn derive_seed(base_seed: u64, job_id: &str) -> u64 {
     let mut h: u64 = 0xcbf29ce484222325;
     for b in job_id.as_bytes() {
         h ^= *b as u64;
@@ -41,53 +43,10 @@ pub fn derive_seed(base_seed: u64, job_id: &str, attempt: u32) -> u64 {
     }
     let mut z = base_seed
         .wrapping_add(h)
-        .wrapping_add(0x9e3779b97f4a7c15u64.wrapping_mul(attempt as u64 + 1));
+        .wrapping_add(0x9e3779b97f4a7c15u64.wrapping_mul(2));
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
     z ^ (z >> 31)
-}
-
-/// Retry policy for failed attempts.
-#[derive(Debug, Clone, Copy)]
-pub struct RetryPolicy {
-    /// Total attempts per job (1 = no retries).
-    pub max_attempts: u32,
-    /// Backoff before attempt N+1 is `base_backoff * 2^(N-1)`.
-    pub base_backoff: Duration,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 2,
-            base_backoff: Duration::from_millis(100),
-        }
-    }
-}
-
-/// Ceiling on the exponential backoff shift: caps the multiplier at
-/// `2^16` (base * 65536). Anything below 32 also keeps `1u32 << shift`
-/// well-defined; the `checked_shl` below defends in depth so a future
-/// edit to this constant past 31 degrades to saturation instead of a
-/// debug-build overflow panic.
-const MAX_BACKOFF_SHIFT: u32 = 16;
-
-impl RetryPolicy {
-    /// Backoff to apply after the given (1-based) failed attempt.
-    /// Saturates: any attempt count up to `u32::MAX` yields the capped
-    /// multiplier, never an overflowing shift.
-    pub fn backoff_after(&self, attempt: u32) -> Duration {
-        let shift = attempt.saturating_sub(1).min(MAX_BACKOFF_SHIFT);
-        let factor = 1u32.checked_shl(shift).unwrap_or(u32::MAX);
-        self.base_backoff.saturating_mul(factor)
-    }
-
-    /// Whether a job that has consumed `attempts` attempts may retry.
-    /// Timeouts are not retried: a hung job would hang again and each
-    /// abandoned attempt leaks a thread for the process lifetime.
-    pub fn should_retry(&self, attempts: u32, err: &JobError) -> bool {
-        !matches!(err, JobError::Timeout { .. }) && attempts < self.max_attempts
-    }
 }
 
 /// Scheduler configuration for one run.
@@ -95,14 +54,9 @@ impl RetryPolicy {
 pub struct RunConfig {
     /// Worker slots (>= 1).
     pub parallel: usize,
-    /// Wall-clock deadline per attempt; `None` = unlimited.
+    /// Wall-clock deadline per job; `None` = unlimited.
     pub deadline: Option<Duration>,
-    /// Simulated-cycle deadline per attempt (compared against
-    /// [`JobCtx::report_sim_time`] values); `None` = unlimited.
-    pub sim_deadline: Option<u64>,
-    /// Retry policy.
-    pub retry: RetryPolicy,
-    /// Base seed; per-attempt seeds derive from it.
+    /// Base seed; per-job seeds derive from it.
     pub base_seed: u64,
     /// Scale tag recorded in the manifest (`smoke`/`default`/`full`).
     pub scale: String,
@@ -122,8 +76,6 @@ impl RunConfig {
         RunConfig {
             parallel: 1,
             deadline: None,
-            sim_deadline: None,
-            retry: RetryPolicy::default(),
             base_seed: 42,
             scale: "default".to_string(),
             out_dir: out_dir.into(),
@@ -135,21 +87,15 @@ impl RunConfig {
     fn manifest_path(&self) -> PathBuf {
         self.out_dir.join("manifest.json")
     }
-
-    fn checkpoint_dir(&self) -> PathBuf {
-        self.out_dir.join("checkpoints")
-    }
 }
 
-/// Outcome of one finished job (after retries).
+/// Outcome of one finished job.
 #[derive(Debug)]
 pub struct JobResult {
     /// The job id.
     pub job_id: String,
-    /// `Ok` with the final output, or the last attempt's error.
+    /// `Ok` with the job's output, or its error.
     pub outcome: Result<JobOutput, JobError>,
-    /// Attempts consumed.
-    pub attempts: u32,
     /// `true` when the job was skipped because a compatible manifest
     /// already recorded it as done.
     pub skipped: bool,
@@ -182,30 +128,20 @@ impl RunReport {
     }
 }
 
-/// One queued attempt.
-struct PendingAttempt {
+/// One in-flight job.
+struct RunningJob {
     job_index: usize,
-    attempt: u32,
-    /// Earliest instant this attempt may start (backoff).
-    not_before: Instant,
-}
-
-/// One in-flight attempt.
-struct RunningAttempt {
-    job_index: usize,
-    attempt: u32,
     started: Instant,
     cancel: Arc<AtomicBool>,
-    sim_now: Arc<AtomicU64>,
     result: Arc<Mutex<Option<Result<JobOutput, JobError>>>>,
     done: Arc<AtomicBool>,
     handle: Option<thread::JoinHandle<()>>,
-    /// Set once the watchdog has cancelled this attempt; when the grace
-    /// period expires the attempt is abandoned.
+    /// Set once the watchdog has cancelled this job; when the grace
+    /// period expires the job is abandoned.
     cancelled_at: Option<Instant>,
 }
 
-/// How long a cancelled attempt gets to acknowledge the cancel flag
+/// How long a cancelled job gets to acknowledge the cancel flag
 /// before its thread is abandoned.
 const CANCEL_GRACE: Duration = Duration::from_millis(500);
 
@@ -229,7 +165,6 @@ impl Scheduler {
     pub fn run(&self, jobs: Vec<Box<dyn Job>>) -> Result<RunReport, JobError> {
         let cfg = &self.cfg;
         std::fs::create_dir_all(&cfg.out_dir)?;
-        let checkpoints = CheckpointStore::new(cfg.checkpoint_dir())?;
 
         // Load or start the manifest. A manifest from a different seed or
         // scale cannot be merged deterministically — start fresh.
@@ -249,8 +184,7 @@ impl Scheduler {
         // Register the full matrix up front so a killed run's manifest
         // shows what was planned, and decide which jobs to skip.
         let mut results: Vec<Option<JobResult>> = Vec::with_capacity(jobs.len());
-        let mut queue: VecDeque<PendingAttempt> = VecDeque::new();
-        let now0 = Instant::now();
+        let mut queue: VecDeque<usize> = VecDeque::new();
         for (i, job) in jobs.iter().enumerate() {
             let id = job.id();
             if cfg.resume && manifest.is_complete(&id, &cfg.out_dir) {
@@ -262,7 +196,6 @@ impl Scheduler {
                         summary: rec.summary.clone(),
                         validated: true,
                     }),
-                    attempts: rec.attempts,
                     skipped: true,
                 }));
                 continue;
@@ -270,50 +203,34 @@ impl Scheduler {
             // (Re)queue: reset any stale running/failed record.
             let rec = manifest.record_mut(&id);
             rec.status = JobStatus::Pending;
-            rec.attempts = 0;
             results.push(None);
-            queue.push_back(PendingAttempt {
-                job_index: i,
-                attempt: 1,
-                not_before: now0,
-            });
+            queue.push_back(i);
         }
         manifest.save(&cfg.manifest_path())?;
 
         let jobs: Vec<Arc<dyn Job>> = jobs.into_iter().map(Arc::from).collect();
-        let mut running: Vec<RunningAttempt> = Vec::new();
+        let mut running: Vec<RunningJob> = Vec::new();
         let parallel = cfg.parallel.max(1);
 
         while !queue.is_empty() || !running.is_empty() {
-            // Launch attempts while slots are free. Backoff-delayed
-            // attempts rotate to the back so ready work is not starved.
-            let mut rotated = 0;
-            while running.len() < parallel && rotated < queue.len() {
-                let Some(p) = queue.pop_front() else { break };
-                if p.not_before > Instant::now() {
-                    queue.push_back(p);
-                    rotated += 1;
-                    continue;
-                }
-                let job = Arc::clone(&jobs[p.job_index]);
+            // Launch jobs while slots are free.
+            while running.len() < parallel {
+                let Some(job_index) = queue.pop_front() else {
+                    break;
+                };
+                let job = Arc::clone(&jobs[job_index]);
                 let id = job.id();
-                let rec = manifest.record_mut(&id);
-                rec.status = JobStatus::Running;
-                rec.attempts = p.attempt;
+                manifest.record_mut(&id).status = JobStatus::Running;
                 manifest.save(&cfg.manifest_path())?;
 
                 let cancel = Arc::new(AtomicBool::new(false));
-                let sim_now = Arc::new(AtomicU64::new(0));
                 let result: Arc<Mutex<Option<Result<JobOutput, JobError>>>> =
                     Arc::new(Mutex::new(None));
                 let done = Arc::new(AtomicBool::new(false));
                 let ctx = JobCtx::new(
                     id.clone(),
-                    p.attempt,
-                    derive_seed(cfg.base_seed, &id, p.attempt),
+                    derive_seed(cfg.base_seed, &id),
                     Arc::clone(&cancel),
-                    Arc::clone(&sim_now),
-                    Some(checkpoints.clone()),
                 );
                 if cfg.quiet_panics {
                     install_quiet_panic_hook();
@@ -332,12 +249,10 @@ impl Scheduler {
                         worker_done.store(true, Ordering::SeqCst);
                     })
                     .map_err(|e| JobError::Io(format!("spawn worker: {e}")))?;
-                running.push(RunningAttempt {
-                    job_index: p.job_index,
-                    attempt: p.attempt,
+                running.push(RunningJob {
+                    job_index,
                     started: Instant::now(),
                     cancel,
-                    sim_now,
                     result,
                     done,
                     handle: Some(handle),
@@ -345,7 +260,7 @@ impl Scheduler {
                 });
             }
 
-            // Poll running attempts.
+            // Poll running jobs.
             let mut i = 0;
             while i < running.len() {
                 let finished = running[i].done.load(Ordering::SeqCst);
@@ -379,23 +294,17 @@ impl Scheduler {
                     self.settle(
                         &jobs,
                         &mut manifest,
-                        &checkpoints,
-                        &mut queue,
                         &mut results,
                         r.job_index,
-                        r.attempt,
                         elapsed,
                         outcome,
                     )?;
                     continue;
                 }
 
-                // Watchdog: wall-clock and simulated-clock deadlines.
-                let over_wall = cfg.deadline.is_some_and(|d| elapsed > d);
-                let over_sim = cfg
-                    .sim_deadline
-                    .is_some_and(|d| running[i].sim_now.load(Ordering::Relaxed) > d);
-                if (over_wall || over_sim) && running[i].cancelled_at.is_none() {
+                // Watchdog: the wall-clock deadline.
+                let over = cfg.deadline.is_some_and(|d| elapsed > d);
+                if over && running[i].cancelled_at.is_none() {
                     running[i].cancel.store(true, Ordering::SeqCst);
                     running[i].cancelled_at = Some(Instant::now());
                 }
@@ -409,11 +318,8 @@ impl Scheduler {
                         self.settle(
                             &jobs,
                             &mut manifest,
-                            &checkpoints,
-                            &mut queue,
                             &mut results,
                             r.job_index,
-                            r.attempt,
                             elapsed,
                             Err(timeout_error(cfg, elapsed)),
                         )?;
@@ -438,70 +344,40 @@ impl Scheduler {
         Ok(report)
     }
 
-    /// Records a finished attempt: success and final failures go to the
-    /// manifest and results; retryable failures re-queue with backoff.
-    #[allow(clippy::too_many_arguments)]
+    /// Records a finished job in the manifest and the results.
     fn settle(
         &self,
         jobs: &[Arc<dyn Job>],
         manifest: &mut Manifest,
-        checkpoints: &CheckpointStore,
-        queue: &mut VecDeque<PendingAttempt>,
         results: &mut [Option<JobResult>],
         job_index: usize,
-        attempt: u32,
         elapsed: Duration,
         outcome: Result<JobOutput, JobError>,
     ) -> Result<(), JobError> {
         let id = jobs[job_index].id();
-        match outcome {
+        let rec = manifest.record_mut(&id);
+        rec.wall_ms = elapsed.as_millis() as u64;
+        match &outcome {
             Ok(out) => {
-                let rec = manifest.record_mut(&id);
                 rec.status = JobStatus::Done;
-                rec.attempts = attempt;
-                rec.wall_ms = elapsed.as_millis() as u64;
                 rec.artifacts = out.artifacts.clone();
                 rec.summary = out.summary.clone();
-                checkpoints.clear(&id)?;
-                results[job_index] = Some(JobResult {
-                    job_id: id,
-                    outcome: Ok(out),
-                    attempts: attempt,
-                    skipped: false,
-                });
             }
             Err(err) => {
-                if self.cfg.retry.should_retry(attempt, &err) {
-                    eprintln!(
-                        "[harness] {id} attempt {attempt} failed ({err}); retrying with backoff"
-                    );
-                    queue.push_back(PendingAttempt {
-                        job_index,
-                        attempt: attempt + 1,
-                        not_before: Instant::now() + self.cfg.retry.backoff_after(attempt),
-                    });
-                } else {
-                    eprintln!("[harness] {id} failed after {attempt} attempt(s): {err}");
-                    let rec = manifest.record_mut(&id);
-                    rec.status = JobStatus::Failed(err.clone());
-                    rec.attempts = attempt;
-                    rec.wall_ms = elapsed.as_millis() as u64;
-                    results[job_index] = Some(JobResult {
-                        job_id: id,
-                        outcome: Err(err),
-                        attempts: attempt,
-                        skipped: false,
-                    });
-                }
+                eprintln!("[harness] {id} failed: {err}");
+                rec.status = JobStatus::Failed(err.clone());
             }
         }
+        results[job_index] = Some(JobResult {
+            job_id: id,
+            outcome,
+            skipped: false,
+        });
         manifest.save(&self.cfg.manifest_path())
     }
 }
 
 fn timeout_error(cfg: &RunConfig, elapsed: Duration) -> JobError {
-    // A sim-deadline (or cancel-grace) kill has no wall-clock deadline;
-    // reporting `elapsed` as the deadline fabricated one.
     JobError::Timeout {
         elapsed,
         deadline: cfg.deadline,
@@ -542,7 +418,6 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU32;
 
     fn scratch(tag: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!("harness_sched_{tag}_{}", std::process::id()));
@@ -585,22 +460,6 @@ mod tests {
         }
     }
 
-    /// Fails on attempt 1, succeeds on attempt 2.
-    struct FlakyJob(Arc<AtomicU32>);
-    impl Job for FlakyJob {
-        fn id(&self) -> String {
-            "flaky".into()
-        }
-        fn run(&self, ctx: &JobCtx) -> Result<JobOutput, JobError> {
-            self.0.fetch_add(1, Ordering::SeqCst);
-            if ctx.attempt == 1 {
-                Err(JobError::Failed("transient".into()))
-            } else {
-                Ok(JobOutput::ok(format!("attempt {}", ctx.attempt)))
-            }
-        }
-    }
-
     struct InvalidJob;
     impl Job for InvalidJob {
         fn id(&self) -> String {
@@ -620,7 +479,6 @@ mod tests {
         let out = scratch("panic");
         let mut cfg = RunConfig::new(&out);
         cfg.parallel = 2;
-        cfg.retry.max_attempts = 1;
         let report = Scheduler::new(cfg)
             .run(vec![
                 Box::new(OkJob("a".into())),
@@ -642,7 +500,6 @@ mod tests {
         let out = scratch("hang");
         let mut cfg = RunConfig::new(&out);
         cfg.deadline = Some(Duration::from_millis(50));
-        cfg.retry.max_attempts = 3; // timeouts must NOT be retried
         let report = Scheduler::new(cfg)
             .run(vec![Box::new(HangJob), Box::new(OkJob("ok".into()))])
             .unwrap();
@@ -650,76 +507,15 @@ mod tests {
         let failures = report.failures();
         assert_eq!(failures.len(), 1);
         assert_eq!(failures[0].1.kind(), "timeout");
-        // Only one attempt was made.
-        assert_eq!(report.jobs[0].attempts, 1);
-        let _ = std::fs::remove_dir_all(&out);
-    }
-
-    /// Reports runaway simulated progress, then hangs cooperatively.
-    struct SimHangJob;
-    impl Job for SimHangJob {
-        fn id(&self) -> String {
-            "sim-hangs".into()
-        }
-        fn run(&self, ctx: &JobCtx) -> Result<JobOutput, JobError> {
-            ctx.report_sim_time(u64::MAX);
-            while !ctx.cancelled() {
-                thread::sleep(Duration::from_millis(5));
-            }
-            Ok(JobOutput::ok("woke up"))
-        }
-    }
-
-    #[test]
-    fn sim_deadline_timeout_reports_no_wall_deadline() {
-        // Regression: with only `sim_deadline` set, the timeout error used
-        // to fabricate a wall-clock deadline equal to the elapsed time.
-        let out = scratch("simdl");
-        let mut cfg = RunConfig::new(&out);
-        cfg.deadline = None;
-        cfg.sim_deadline = Some(1_000);
-        cfg.retry.max_attempts = 3;
-        let report = Scheduler::new(cfg).run(vec![Box::new(SimHangJob)]).unwrap();
-        let failures = report.failures();
-        assert_eq!(failures.len(), 1);
-        match &failures[0].1 {
-            JobError::Timeout { deadline, .. } => {
-                assert_eq!(*deadline, None, "no wall deadline was configured")
-            }
-            other => panic!("expected timeout, got {other}"),
-        }
-        assert!(
-            !failures[0].1.detail().contains("deadline"),
-            "message must not claim a deadline: {}",
-            failures[0].1.detail()
-        );
-        let _ = std::fs::remove_dir_all(&out);
-    }
-
-    #[test]
-    fn transient_failure_retries_and_succeeds() {
-        let out = scratch("retry");
-        let mut cfg = RunConfig::new(&out);
-        cfg.retry = RetryPolicy {
-            max_attempts: 3,
-            base_backoff: Duration::from_millis(1),
-        };
-        let calls = Arc::new(AtomicU32::new(0));
-        let report = Scheduler::new(cfg)
-            .run(vec![Box::new(FlakyJob(Arc::clone(&calls)))])
-            .unwrap();
-        assert!(report.all_ok());
-        assert_eq!(calls.load(Ordering::SeqCst), 2);
-        assert_eq!(report.jobs[0].attempts, 2);
         let _ = std::fs::remove_dir_all(&out);
     }
 
     #[test]
     fn unvalidated_output_becomes_validation_error() {
         let out = scratch("valid");
-        let mut cfg = RunConfig::new(&out);
-        cfg.retry.max_attempts = 1;
-        let report = Scheduler::new(cfg).run(vec![Box::new(InvalidJob)]).unwrap();
+        let report = Scheduler::new(RunConfig::new(&out))
+            .run(vec![Box::new(InvalidJob)])
+            .unwrap();
         let failures = report.failures();
         assert_eq!(failures.len(), 1);
         assert_eq!(failures[0].1.kind(), "validation");
@@ -768,46 +564,12 @@ mod tests {
     }
 
     #[test]
-    fn derive_seed_is_stable_and_varies_by_attempt_and_job() {
-        assert_eq!(derive_seed(42, "e0", 1), derive_seed(42, "e0", 1));
-        assert_ne!(derive_seed(42, "e0", 1), derive_seed(42, "e0", 2));
-        assert_ne!(derive_seed(42, "e0", 1), derive_seed(42, "e1", 1));
-        assert_ne!(derive_seed(42, "e0", 1), derive_seed(43, "e0", 1));
-    }
-
-    #[test]
-    fn backoff_grows_exponentially_then_caps() {
-        let p = RetryPolicy {
-            max_attempts: u32::MAX,
-            base_backoff: Duration::from_millis(100),
-        };
-        assert_eq!(p.backoff_after(1), Duration::from_millis(100));
-        assert_eq!(p.backoff_after(2), Duration::from_millis(200));
-        assert_eq!(p.backoff_after(5), Duration::from_millis(1_600));
-        // Cap: 100ms * 2^16 from attempt 17 on.
-        let cap = Duration::from_millis(100) * (1 << 16);
-        assert_eq!(p.backoff_after(17), cap);
-        assert_eq!(p.backoff_after(18), cap);
-    }
-
-    #[test]
-    fn backoff_at_high_attempt_counts_saturates_instead_of_overflowing() {
-        // Regression: `1u32 << shift` would overflow (debug-panic) once
-        // attempts push shift >= 32; the clamp + checked shift must keep
-        // every attempt count finite and equal to the cap.
-        let p = RetryPolicy {
-            max_attempts: u32::MAX,
-            base_backoff: Duration::from_millis(100),
-        };
-        let cap = p.backoff_after(17);
-        for attempt in [32, 33, 34, 64, 1_000, 1_000_000, u32::MAX] {
-            assert_eq!(p.backoff_after(attempt), cap, "attempt {attempt}");
-        }
-        // Huge base backoff also saturates rather than panicking.
-        let big = RetryPolicy {
-            max_attempts: u32::MAX,
-            base_backoff: Duration::from_secs(u64::MAX / 2),
-        };
-        assert!(big.backoff_after(u32::MAX) >= big.backoff_after(1));
+    fn derive_seed_is_pinned_and_varies_by_job_and_base() {
+        // Golden values: every checked-in output was produced with these
+        // seeds, so a change here moves all of them.
+        assert_eq!(derive_seed(42, "e0:g1"), 0x2e9de821ff26dea9);
+        assert_eq!(derive_seed(7, "bench"), 0x507f78a6cc4e08a1);
+        assert_ne!(derive_seed(42, "e0"), derive_seed(42, "e1"));
+        assert_ne!(derive_seed(42, "e0"), derive_seed(43, "e0"));
     }
 }

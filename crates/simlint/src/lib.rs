@@ -1,6 +1,6 @@
 //! `simlint`: the repo's determinism-and-persistency contract, enforced.
 //!
-//! Every guarantee the simulator sells — bit-exact checkpoint/resume,
+//! Every guarantee the simulator sells — bit-exact checkpoint/restore,
 //! byte-identical metrics across kill/resume, seeded crash-state
 //! exploration — rests on the simulation being a pure function of its
 //! inputs. Nothing about Rust enforces that: `std::collections::HashMap`

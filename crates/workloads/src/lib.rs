@@ -13,4 +13,4 @@ pub mod patterns;
 pub mod ycsb;
 
 pub use patterns::{random_block_sequence, ring_order, strided_sequence, AccessOrder};
-pub use ycsb::{KeyDistribution, OpKind, OpMix, WorkloadError, YcsbGenerator, YcsbState};
+pub use ycsb::{KeyDistribution, OpKind, OpMix, WorkloadError, YcsbGenerator};

@@ -120,19 +120,6 @@ enum DistSampler {
     Latest,
 }
 
-/// Resumable generator state: everything that evolves as the generator
-/// runs. The distribution constants are *not* part of the state — a
-/// restored generator is constructed with the same
-/// [`YcsbGenerator::new`] arguments and then rewound with
-/// [`YcsbGenerator::restore_state`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct YcsbState {
-    /// The RNG's internal state word.
-    pub rng_state: u64,
-    /// Number of keys inserted so far.
-    pub inserted: u64,
-}
-
 #[derive(Debug)]
 struct ZipfState {
     theta: f64,
@@ -212,22 +199,6 @@ impl YcsbGenerator {
             sampler,
             inserted: 0,
         }
-    }
-
-    /// Captures the generator's evolving state for checkpointing.
-    pub fn state(&self) -> YcsbState {
-        YcsbState {
-            rng_state: self.rng.state(),
-            inserted: self.inserted,
-        }
-    }
-
-    /// Rewinds this generator to a previously captured state. The
-    /// generator must have been constructed with the same `new` arguments
-    /// as the one that captured the state.
-    pub fn restore_state(&mut self, s: &YcsbState) {
-        self.rng = SplitMix64::from_state(s.rng_state);
-        self.inserted = s.inserted;
     }
 
     /// Standard zipfian constant used by YCSB.
@@ -401,32 +372,6 @@ mod tests {
         );
         g.next_insert_key();
         assert!(g.try_sample_existing_key().is_ok());
-    }
-
-    #[test]
-    fn state_restore_resumes_the_exact_stream() {
-        for dist in [
-            KeyDistribution::Uniform,
-            KeyDistribution::Zipfian(0.99),
-            KeyDistribution::Latest,
-        ] {
-            let mut g = YcsbGenerator::new(7, dist, 1000);
-            for _ in 0..200 {
-                g.next_insert_key();
-            }
-            let mix = OpMix::ycsb_a();
-            for _ in 0..57 {
-                g.next_op(&mix);
-            }
-            let state = g.state();
-            let tail: Vec<_> = (0..100).map(|_| g.next_op(&mix)).collect();
-            // A fresh generator with the same constructor args, rewound to
-            // the captured state, continues with the identical stream.
-            let mut h = YcsbGenerator::new(7, dist, 1000);
-            h.restore_state(&state);
-            let resumed: Vec<_> = (0..100).map(|_| h.next_op(&mix)).collect();
-            assert_eq!(tail, resumed, "distribution {dist:?}");
-        }
     }
 
     #[test]
