@@ -67,7 +67,7 @@ pub use shard::{
     ShardReply, ShardServer, DEDUP_WINDOW, RECORD_BYTES,
 };
 pub use sim::{
-    run, run_traced, shard_generation, ClusterError, ClusterParams, ClusterReport, LatencySummary,
+    run, shard_generation, ClusterError, ClusterParams, ClusterReport, LatencySummary,
     RecoveryReport,
 };
 pub use workload::{ClientConfig, ClientGen};

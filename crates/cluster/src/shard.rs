@@ -32,9 +32,7 @@
 use std::collections::{BTreeMap, VecDeque};
 
 use cpucache::PrefetchConfig;
-use optane_core::{
-    CrashPolicy, Generation, ImcQueueStats, Machine, MachineConfig, ThreadId, TraceSink,
-};
+use optane_core::{CrashPolicy, Generation, ImcQueueStats, Machine, MachineConfig, ThreadId};
 use simbase::{Addr, SplitMix64};
 
 use crate::migrate::ControlKind;
@@ -316,11 +314,6 @@ impl ShardServer {
         (key % self.cfg.n_slices.max(1) as u64) as SliceId
     }
 
-    /// Attach a trace sink (witness tap) to the underlying machine.
-    pub fn set_trace_sink(&mut self, sink: Box<dyn TraceSink>) {
-        let _ = self.m.set_trace_sink(sink);
-    }
-
     /// Aggregated iMC queue occupancy for fleet metrics.
     pub fn queue_stats(&self) -> ImcQueueStats {
         self.m.metrics().queue_total()
@@ -581,9 +574,6 @@ impl ShardServer {
     /// 6. round-trip through `checkpoint`/`restore` (the harness resume
     ///    path) so a recovered shard is indistinguishable from a resumed
     ///    one.
-    ///
-    /// The previous trace sink (if any) is carried onto the recovered
-    /// machine so the witness hash covers recovery traffic too.
     pub fn crash_and_recover(
         &mut self,
         survivor_seed: u64,
@@ -591,7 +581,6 @@ impl ShardServer {
     ) -> Result<RecoveryOutcome, ShardError> {
         let image = self.m.capture_crash_image();
         self.m.power_fail(CrashPolicy::LoseUnflushed);
-        let sink = self.m.take_trace_sink();
 
         let mut rng = SplitMix64::new(survivor_seed ^ 0x7375_7276_6976_6f72);
         let survivors: Vec<bool> = image
@@ -646,13 +635,10 @@ impl ShardServer {
         // Harness-path round trip: a recovered shard must be resumable.
         let snap = m2.checkpoint();
         let mcfg = m2.config().clone();
-        let mut m3 = match Machine::restore(mcfg, &snap) {
+        let m3 = match Machine::restore(mcfg, &snap) {
             Ok(m) => m,
             Err(_) => return Err(ShardError::SnapshotRoundTrip),
         };
-        if let Some(s) = sink {
-            let _ = m3.set_trace_sink(s);
-        }
 
         let lost_tail = self.next_seq.saturating_sub(replayed);
         let outcome = RecoveryOutcome {
@@ -666,12 +652,6 @@ impl ShardServer {
         self.next_seq = replayed;
         self.recoveries += 1;
         Ok(outcome)
-    }
-
-    /// Encoded machine checkpoint — the divergence witness folds this
-    /// into its state hash at end of run.
-    pub fn checkpoint_encode(&mut self) -> Vec<u8> {
-        self.m.checkpoint().encode()
     }
 
     /// Post-mortem check used by the acked-write-loss oracle: is the

@@ -37,7 +37,7 @@
 use std::collections::BTreeMap;
 
 use obs::{Histogram, Sampler, Value};
-use optane_core::{Generation, TraceSink};
+use optane_core::Generation;
 use simbase::SplitMix64;
 
 use crate::breaker::{Admission, CircuitBreaker};
@@ -232,13 +232,11 @@ pub struct ClusterReport {
     /// Front-cache lookups rejected by the epoch floor.
     pub cache_stale_rejects: u64,
     pub shard_served: Vec<u64>,
-    /// Simulated tick of the last processed event.
+    /// Simulated tick of the last processed event other than a metrics
+    /// sample, so sampling (`--metrics`) never moves the clock.
     pub sim_end: Ticks,
     /// Sampled fleet metrics series (JSONL), when enabled.
     pub metrics_jsonl: Option<String>,
-    /// Final encoded machine checkpoints, one per shard — populated only
-    /// on traced runs so the divergence witness can hash machine state.
-    pub checkpoint_blobs: Vec<Vec<u8>>,
 }
 
 impl ClusterReport {
@@ -468,9 +466,9 @@ struct Counters {
     divergent_slices: u64,
 }
 
-/// The running cluster. Construct once per run via [`run`] /
-/// [`run_traced`]; all state is owned, nothing is shared.
-struct Cluster<'a> {
+/// The running cluster. Construct once per run via [`run`]; all state
+/// is owned, nothing is shared.
+struct Cluster {
     params: ClusterParams,
     table: RoutingTable,
     replicas: usize,
@@ -502,8 +500,9 @@ struct Cluster<'a> {
     recoveries: Vec<RecoveryReport>,
     mig: Option<MigrationDriver>,
     sampler: Option<Sampler>,
-    sink_factory: Option<&'a dyn Fn(usize) -> Box<dyn TraceSink>>,
     now: Ticks,
+    /// Tick of the last processed event that is not a `MetricsTick`.
+    last_work: Ticks,
 }
 
 /// Generation of shard `i` under the alternating layout.
@@ -515,11 +514,8 @@ pub fn shard_generation(i: usize) -> Generation {
     }
 }
 
-impl<'a> Cluster<'a> {
-    fn new(
-        params: ClusterParams,
-        sink_factory: Option<&'a dyn Fn(usize) -> Box<dyn TraceSink>>,
-    ) -> Result<Self, ClusterError> {
+impl Cluster {
+    fn new(params: ClusterParams) -> Result<Self, ClusterError> {
         if params.n_shards == 0 {
             return Err(ClusterError::BadParams("n_shards must be > 0"));
         }
@@ -569,9 +565,6 @@ impl<'a> Cluster<'a> {
                 seed: params.seed ^ (i as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15),
             });
             s.set_owned(&table.slices_on(i));
-            if let Some(f) = sink_factory {
-                s.set_trace_sink(f(i));
-            }
             shards.push(s);
         }
         let mut net = NetSim::new(params.net, params.seed);
@@ -639,10 +632,10 @@ impl<'a> Cluster<'a> {
                 ));
                 s
             }),
-            sink_factory,
             table,
             params,
             now: 0,
+            last_work: 0,
         })
     }
 
@@ -1046,10 +1039,6 @@ impl<'a> Cluster<'a> {
             Ok(o) => o,
             Err(e) => return Err(ClusterError::Shard(e)),
         };
-        // Re-arm the witness tap on the recovered machine if tracing.
-        if let Some(f) = self.sink_factory {
-            self.shards[shard].set_trace_sink(f(shard));
-        }
         let total = outage.saturating_add(outcome.replay_cycles);
         self.recoveries.push(RecoveryReport {
             shard,
@@ -1523,6 +1512,9 @@ impl<'a> Cluster<'a> {
     fn run_loop(&mut self) -> Result<(), ClusterError> {
         while let Some(((at, _), ev)) = self.events.pop_first() {
             self.now = at;
+            if !matches!(ev, Event::MetricsTick) {
+                self.last_work = at;
+            }
             if !matches!(ev, Event::MetricsTick | Event::RepairTick) {
                 self.live_events -= 1;
             }
@@ -1612,14 +1604,6 @@ impl<'a> Cluster<'a> {
         let dedup_hits: u64 = self.shards.iter().map(|s| s.dedup_hits).sum();
         let unanswered = self.reqs.iter().filter(|r| !r.done).count() as u64;
         let trips: u64 = self.breakers.iter().map(|b| b.trips).sum();
-        let checkpoint_blobs = if self.sink_factory.is_some() {
-            self.shards
-                .iter_mut()
-                .map(|s| s.checkpoint_encode())
-                .collect()
-        } else {
-            Vec::new()
-        };
         ClusterReport {
             arrivals: self.counters.arrivals,
             served_ok: self.counters.served_ok,
@@ -1653,25 +1637,15 @@ impl<'a> Cluster<'a> {
             cache_misses: self.cache.misses,
             cache_stale_rejects: self.cache.stale_rejects,
             shard_served: self.shard_served,
-            sim_end: self.now,
+            sim_end: self.last_work,
             metrics_jsonl: self.sampler.as_ref().map(|s| s.to_jsonl()),
-            checkpoint_blobs,
         }
     }
 }
 
 /// Run one cluster simulation to completion.
 pub fn run(params: ClusterParams) -> Result<ClusterReport, ClusterError> {
-    run_traced(params, None)
-}
-
-/// Run with an optional per-shard trace-sink factory (the divergence
-/// witness taps every shard's machine, including post-recovery ones).
-pub fn run_traced(
-    params: ClusterParams,
-    sink_factory: Option<&dyn Fn(usize) -> Box<dyn TraceSink>>,
-) -> Result<ClusterReport, ClusterError> {
-    let mut c = Cluster::new(params, sink_factory)?;
+    let mut c = Cluster::new(params)?;
     c.preload()?;
     c.schedule_initial();
     c.run_loop()?;
@@ -1741,6 +1715,21 @@ mod tests {
         let b = run(p).expect("run b");
         assert_eq!(a.render(), b.render());
         assert_eq!(a.metrics_jsonl, b.metrics_jsonl);
+    }
+
+    #[test]
+    fn metrics_sampling_does_not_move_the_clock() {
+        for repair in [None, Some(40_000)] {
+            let mut p = smoke_params();
+            p.fault = ClusterFaultPlan::power_fail_with_flap(1, 250_000, 100_000);
+            p.repair_interval = repair;
+            let plain = run(p).expect("run");
+            p.metrics_interval = Some(50_000);
+            let sampled = run(p).expect("sampled run");
+            assert!(sampled.metrics_jsonl.is_some());
+            assert_eq!(plain.sim_end, sampled.sim_end, "repair {repair:?}");
+            assert_eq!(plain.render(), sampled.render(), "repair {repair:?}");
+        }
     }
 
     #[test]

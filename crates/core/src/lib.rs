@@ -60,6 +60,7 @@ pub mod metrics;
 pub mod snapshot;
 pub mod telemetry;
 pub mod trace;
+pub mod witness;
 
 pub use config::{Generation, MachineConfig};
 pub use crash::CrashImage;
@@ -73,3 +74,4 @@ pub use metrics::{
 pub use snapshot::{MachineSnapshot, SnapshotError, ThreadSnapshot};
 pub use telemetry::TelemetrySnapshot;
 pub use trace::{FenceKind, FlushKind, TraceEvent, TraceSink};
+pub use witness::{with_witness, MachineWitness};

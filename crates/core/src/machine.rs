@@ -178,7 +178,9 @@ pub struct Machine {
 const POISON_FILL: u8 = 0xBD;
 
 impl Machine {
-    /// Builds a machine from a configuration.
+    /// Builds a machine from a configuration. Inside a
+    /// [`with_witness`](crate::witness::with_witness) scope the machine
+    /// also feeds the scope's sink and, when dropped, its checkpoint.
     pub fn new(cfg: MachineConfig) -> Self {
         let caches = (0..2)
             .map(|_| CacheSystem::new(cfg.cache.clone(), cfg.cores_per_socket, cfg.prefetch))
@@ -205,7 +207,7 @@ impl Machine {
             pm_next: PM_BASE,
             dram_next: DRAM_BASE,
             crash_rng,
-            trace: TraceSlot::default(),
+            trace: TraceSlot::new(),
             faults: FaultHooks::none(),
             fault_stats: FaultStats::default(),
             metrics_baseline: MachineMetrics::default(),
@@ -213,14 +215,15 @@ impl Machine {
     }
 
     /// Attaches an instruction-stream observer. Replaces any previous
-    /// sink; returns the replaced sink, if any.
+    /// sink; returns the replaced sink, if any. A witness scope's sink is
+    /// not affected.
     pub fn set_trace_sink(&mut self, sink: Box<dyn TraceSink>) -> Option<Box<dyn TraceSink>> {
-        self.trace.0.replace(sink)
+        self.trace.set(sink)
     }
 
     /// Detaches and returns the current instruction-stream observer.
     pub fn take_trace_sink(&mut self) -> Option<Box<dyn TraceSink>> {
-        self.trace.0.take()
+        self.trace.take()
     }
 
     /// Whether a trace sink is attached. Every emit call site checks this
@@ -229,14 +232,12 @@ impl Machine {
     /// `region_of`/clock reads on the event's behalf.
     #[inline(always)]
     fn tracing(&self) -> bool {
-        self.trace.0.is_some()
+        self.trace.on()
     }
 
     #[inline]
     fn emit(&mut self, ev: TraceEvent) {
-        if let Some(sink) = self.trace.0.as_mut() {
-            sink.on_event(&ev);
-        }
+        self.trace.emit(&ev);
     }
 
     /// Returns the active configuration.
@@ -1618,6 +1619,19 @@ impl Machine {
         let mut b = [0u8; 8];
         self.peek(addr, &mut b);
         u64::from_le_bytes(b)
+    }
+}
+
+impl Drop for Machine {
+    /// A machine built in a witness scope folds its final checkpoint into
+    /// the scope. Skipped while unwinding, so a failing run reports its
+    /// panic rather than a second one from the checkpoint.
+    fn drop(&mut self) {
+        if let Some(w) = self.trace.take_witness() {
+            if !std::thread::panicking() {
+                w.fold_checkpoint(&self.checkpoint().encode());
+            }
+        }
     }
 }
 

@@ -1,6 +1,7 @@
 //! Instruction-stream observation hooks.
 //!
-//! The machine can carry one [`TraceSink`]: an observer that receives a
+//! The machine can carry one [`TraceSink`] of its own (plus the sink of
+//! an active [`witness`](crate::witness) scope): an observer that receives a
 //! [`TraceEvent`] for every memory/persistence operation a simulated
 //! thread executes, *before* the operation's latency is charged. The sink
 //! sees exactly the instruction stream the timing model sees — which is
@@ -11,9 +12,12 @@
 //! `optane-core` stays dependency-free: the trait is defined here and
 //! implemented by downstream analysis crates.
 
+use std::rc::Rc;
+
 use simbase::{Addr, Cycles};
 
 use crate::machine::{MemRegion, ThreadId};
+use crate::witness::MachineWitness;
 
 /// Which flush instruction produced a [`TraceEvent::Flush`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -158,12 +162,66 @@ pub trait TraceSink {
     fn on_event(&mut self, ev: &TraceEvent);
 }
 
-/// Holder for the machine's optional sink (keeps `Machine: Debug`).
-#[derive(Default)]
-pub(crate) struct TraceSlot(pub(crate) Option<Box<dyn TraceSink>>);
+/// The machine's observers: its own optional sink and, when the machine
+/// was built inside a [`with_witness`](crate::witness::with_witness)
+/// scope, that scope's sink beside it. `on` caches "anything attached",
+/// so the emit guard stays one branch.
+pub(crate) struct TraceSlot {
+    own: Option<Box<dyn TraceSink>>,
+    witness: Option<(Box<dyn TraceSink>, Rc<dyn MachineWitness>)>,
+    on: bool,
+}
+
+impl TraceSlot {
+    /// A slot carrying the current thread's witness, if a scope is active.
+    pub(crate) fn new() -> Self {
+        let witness = crate::witness::current().map(|w| (w.sink(), w));
+        TraceSlot {
+            own: None,
+            on: witness.is_some(),
+            witness,
+        }
+    }
+
+    pub(crate) fn set(&mut self, sink: Box<dyn TraceSink>) -> Option<Box<dyn TraceSink>> {
+        self.on = true;
+        self.own.replace(sink)
+    }
+
+    pub(crate) fn take(&mut self) -> Option<Box<dyn TraceSink>> {
+        self.on = self.witness.is_some();
+        self.own.take()
+    }
+
+    #[inline(always)]
+    pub(crate) fn on(&self) -> bool {
+        self.on
+    }
+
+    pub(crate) fn emit(&mut self, ev: &TraceEvent) {
+        if let Some(sink) = self.own.as_mut() {
+            sink.on_event(ev);
+        }
+        if let Some((sink, _)) = self.witness.as_mut() {
+            sink.on_event(ev);
+        }
+    }
+
+    /// Detaches the witness scope this machine was built in.
+    pub(crate) fn take_witness(&mut self) -> Option<Rc<dyn MachineWitness>> {
+        let (_, w) = self.witness.take()?;
+        self.on = self.own.is_some();
+        Some(w)
+    }
+}
 
 impl std::fmt::Debug for TraceSlot {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "TraceSlot(attached: {})", self.0.is_some())
+        write!(
+            f,
+            "TraceSlot(attached: {}, witnessed: {})",
+            self.own.is_some(),
+            self.witness.is_some()
+        )
     }
 }

@@ -29,7 +29,6 @@ pub mod cceh;
 pub mod chase;
 pub mod detect;
 pub mod fastfair;
-pub mod inject;
 pub mod msqueue;
 pub mod treiber;
 
@@ -37,6 +36,5 @@ pub use cceh::{Cceh, InsertBreakdown};
 pub use chase::{ChaseList, WriteKind};
 pub use detect::{OpKind, RecoveryOutcome, EMPTY_RESULT};
 pub use fastfair::{FastFair, UpdateStrategy};
-pub use inject::{FaultPlan, FaultyEnv};
 pub use msqueue::{MsQueue, MsQueueThread};
 pub use treiber::{OpResult, TreiberStack, TreiberThread};

@@ -12,7 +12,7 @@
 //!
 //! Each NAME is the name of an entry in `experiments::registry::REGISTRY`;
 //! `repro --help` lists them. `repro divergence [NAME|all]` runs the
-//! dual-process determinism witness over the entries that have one.
+//! dual-process determinism witness over those entries' own jobs.
 //!
 //! `--metrics PATH` turns on `simwatch` sampling: the sampling-capable
 //! experiments (E1, E3) poll the unified machine metrics every
@@ -41,14 +41,11 @@
 use std::path::PathBuf;
 use std::time::Duration;
 
-use experiments::common::MetricsSpec;
+use experiments::common::{MetricsSpec, DEFAULT_SAMPLE_INTERVAL};
 use experiments::jobs::{self, Inject, Scale};
 use experiments::registry;
 use harness::{write_atomic, RunConfig, Scheduler};
 use optane_core::Generation;
-
-/// Default `--sample-interval`, in simulated cycles.
-const DEFAULT_SAMPLE_INTERVAL: u64 = 100_000;
 
 struct Options {
     which: Vec<String>,
@@ -172,11 +169,14 @@ fn parse_args() -> Options {
     {
         bad_args(&format!(
             "unknown experiment '{bad}'; expected {}|all",
-            registry::choices(|_| true)
+            registry::choices()
         ));
     }
     if full && smoke {
         bad_args("--full and --smoke are mutually exclusive");
+    }
+    if deadline.is_none() && injections.iter().any(|(_, m)| *m == Inject::Hang) {
+        bad_args("--inject hang:JOB needs --deadline SECS: only the watchdog ends a hang");
     }
     let scale = if full {
         Scale::Full
@@ -274,8 +274,7 @@ fn main() {
         for j in &report.jobs {
             if let Ok(out) = &j.outcome {
                 for rel in &out.artifacts {
-                    let name = rel.file_name().and_then(|n| n.to_str()).unwrap_or("");
-                    if name.starts_with("metrics_") && name.ends_with(".jsonl") {
+                    if jobs::is_metrics_artifact(rel) {
                         match std::fs::read_to_string(opts.out.join(rel)) {
                             Ok(s) => series.push_str(&s),
                             Err(e) => eprintln!(

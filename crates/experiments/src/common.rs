@@ -15,6 +15,10 @@ pub struct MetricsSpec {
     pub interval: Cycles,
 }
 
+/// The default sampling interval (`repro --sample-interval`), in
+/// simulated cycles.
+pub const DEFAULT_SAMPLE_INTERVAL: Cycles = 100_000;
+
 /// A typed experiment failure: the run could not produce results. Runner
 /// `run` functions return this instead of panicking so the `repro` binary
 /// can report the problem and exit nonzero.

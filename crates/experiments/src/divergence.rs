@@ -3,13 +3,18 @@
 //! The static half of the determinism contract (`simlint`) proves the
 //! *code* cannot depend on unordered state; this module proves the *runs*
 //! actually agree. `repro divergence <exp>` re-executes the `repro`
-//! binary twice as `divergence-child` subprocesses with the same seed.
-//! Separate processes mean separate SipHash keys, separate address-space
-//! layouts, separate allocator histories — exactly the nondeterminism
-//! sources that survive in-process double-run tests. Each child attaches
-//! an [`OpStreamHasher`] as every machine's TraceSink and reports four
+//! binary twice, side by side, as `divergence-child` subprocesses with
+//! the same seed. Separate processes mean separate SipHash keys, separate
+//! address-space layouts, separate allocator histories — exactly the
+//! nondeterminism sources that survive in-process double-run tests.
+//!
+//! Each child runs the registry entry's own jobs — what `repro <exp>
+//! --gen both --seed S --metrics F` runs — inside an
+//! [`optane_core::witness`] scope, so every machine those jobs build
+//! feeds one [`OpStreamHasher`] and folds its final checkpoint in when
+//! dropped; no experiment carries witness code. The child reports four
 //! FNV-1a hashes: the op stream, the encoded machine checkpoints, the
-//! `simwatch` JSONL rows, and the rendered result tables.
+//! `simwatch` JSONL artifacts, and the job summaries with every artifact.
 //!
 //! On mismatch the parent bisects: children are re-run with `--prefix K`
 //! (hash only the first K ops) and a binary search finds the first
@@ -19,114 +24,45 @@
 //! child — the smoke mode uses it to prove the bisector actually works,
 //! not just that nothing diverges.
 
-use std::cell::RefCell;
+use std::cell::Cell;
 use std::path::PathBuf;
-use std::process::Command;
+use std::process::{Child, Command, Stdio};
+use std::rc::Rc;
+use std::sync::atomic::{AtomicU64, Ordering};
 
-use harness::write_atomic;
+use harness::{derive_seed, write_atomic, JobCtx};
 use optane_core::trace::TraceSink;
-use optane_core::Machine;
+use optane_core::{with_witness, Generation, MachineWitness};
 use simlint::witness::{
     bisect_first_divergence, compare_reports, fnv1a_bytes, render_diff, ChildReport,
     DivergenceOutcome, OpStreamHasher, SharedHasher, FNV_OFFSET,
 };
 
-use crate::common::{ExpError, ExpResult};
+use crate::common::{MetricsSpec, DEFAULT_SAMPLE_INTERVAL};
+use crate::jobs::{self, Scale};
 use crate::registry::{self, Entry, REGISTRY};
 
-/// The tap an experiment threads through its measurement loops: a shared
-/// op-stream hasher handed to every machine as its TraceSink, plus a
-/// running hash of every machine's encoded checkpoint.
-pub struct WitnessTap {
+/// The child's witness scope: one op-stream hasher shared by every
+/// machine's sink, so ops are hashed in global simulation order, plus a
+/// running hash of every dropped machine's encoded checkpoint.
+struct WitnessTap {
     hasher: SharedHasher,
-    checkpoint_hash: RefCell<u64>,
+    checkpoint_hash: Cell<u64>,
 }
 
-impl WitnessTap {
-    /// Wraps a configured hasher.
-    pub fn new(h: OpStreamHasher) -> Self {
-        WitnessTap {
-            hasher: SharedHasher::new(h),
-            checkpoint_hash: RefCell::new(FNV_OFFSET),
-        }
-    }
-
-    /// A sink handle for one machine (all handles share one hasher, so
-    /// the op stream is hashed in global simulation order).
-    pub fn sink(&self) -> Box<dyn TraceSink> {
+impl MachineWitness for WitnessTap {
+    fn sink(&self) -> Box<dyn TraceSink> {
         Box::new(self.hasher.clone())
     }
 
-    /// Folds a machine's encoded checkpoint into the state hash. Called
-    /// by the experiment at the end of each machine's measurement.
-    pub fn fold_machine(&self, m: &mut Machine) {
-        let bytes = m.checkpoint().encode();
-        self.fold_checkpoint_bytes(&bytes);
-    }
-
-    /// Folds an already-encoded checkpoint into the state hash — the
-    /// cluster experiment hands back per-shard checkpoint blobs rather
-    /// than exposing its machines.
-    pub fn fold_checkpoint_bytes(&self, bytes: &[u8]) {
-        let mut h = self.checkpoint_hash.borrow_mut();
-        *h = fnv1a_bytes(*h, bytes);
-    }
-
-    /// Assembles the child's report from everything observed.
-    pub fn report(&self, metrics_jsonl: Option<&str>, result_text: &str) -> ChildReport {
-        let h = self.hasher.0.borrow();
-        ChildReport {
-            ops: h.ops(),
-            trace_hash: h.hash(),
-            checkpoint_hash: *self.checkpoint_hash.borrow(),
-            metrics_hash: metrics_jsonl
-                .map(|s| fnv1a_bytes(FNV_OFFSET, s.as_bytes()))
-                .unwrap_or(0),
-            result_hash: fnv1a_bytes(FNV_OFFSET, result_text.as_bytes()),
-            dump: h.dumped().to_vec(),
-        }
-    }
-}
-
-/// Runs an experiment's witness workload under a tap at `(seed, smoke)`.
-pub type Witness = fn(u64, bool, &WitnessTap) -> ChildText;
-
-/// What a witness run hands back for hashing: the `simwatch` rows (if
-/// sampled) and the rendered results.
-pub struct ChildText {
-    pub metrics_jsonl: Option<String>,
-    pub text: String,
-}
-
-impl ChildText {
-    /// `head`, then each result's table and CSV, then `tail`; the
-    /// metrics are the first result's series that has one.
-    pub(crate) fn of(head: String, results: &[ExpResult], tail: &str) -> ChildText {
-        let mut text = head;
-        for r in results {
-            text.push_str(&r.to_table());
-            text.push('\n');
-            text.push_str(&r.to_csv());
-        }
-        text.push_str(tail);
-        ChildText {
-            metrics_jsonl: results.iter().find_map(|r| r.metrics_jsonl.clone()),
-            text,
-        }
-    }
-
-    /// A typed failure still yields a deterministic report: both
-    /// children fail identically or the witness flags it.
-    pub(crate) fn error(name: &str, e: ExpError) -> ChildText {
-        ChildText {
-            metrics_jsonl: None,
-            text: format!("{name} error: {e}\n"),
-        }
+    fn fold_checkpoint(&self, bytes: &[u8]) {
+        self.checkpoint_hash
+            .set(fnv1a_bytes(self.checkpoint_hash.get(), bytes));
     }
 }
 
 struct ChildOpts {
-    witness: Witness,
+    entry: &'static Entry,
     seed: u64,
     smoke: bool,
     prefix: Option<u64>,
@@ -134,7 +70,13 @@ struct ChildOpts {
     perturb: Option<u64>,
 }
 
-fn run_child(opts: &ChildOpts) -> ChildReport {
+/// Runs the entry's own jobs, exactly as `repro NAME --gen both [--smoke]
+/// --seed S --metrics F` schedules them, one after another on this
+/// thread inside a witness scope. Results are the summaries plus every
+/// artifact's name and bytes in job-output order; metrics are the
+/// `metrics_*.jsonl` artifacts (0 when the entry samples none).
+fn run_child(opts: &ChildOpts) -> Result<ChildReport, String> {
+    static RUNS: AtomicU64 = AtomicU64::new(0);
     let mut hasher = OpStreamHasher::new();
     if let Some(k) = opts.prefix {
         hasher = hasher.with_prefix_limit(k);
@@ -145,25 +87,74 @@ fn run_child(opts: &ChildOpts) -> ChildReport {
     if let Some(k) = opts.perturb {
         hasher = hasher.with_perturb_at(k);
     }
-    let tap = WitnessTap::new(hasher);
-    let out = (opts.witness)(opts.seed, opts.smoke, &tap);
-    tap.report(out.metrics_jsonl.as_deref(), &out.text)
-}
-
-/// The registry entries that have a witness, in registry order.
-fn witnessed() -> impl Iterator<Item = &'static Entry> {
-    REGISTRY.iter().filter(|e| e.witness.is_some())
-}
-
-/// The `a|b|..` list of witnessed experiment names.
-fn witnessed_choices() -> String {
-    registry::choices(|e| e.witness.is_some())
+    let tap = Rc::new(WitnessTap {
+        hasher: SharedHasher::new(hasher),
+        checkpoint_hash: Cell::new(FNV_OFFSET),
+    });
+    let out = std::env::temp_dir().join(format!(
+        "divergence-{}-{}-{}",
+        opts.entry.name,
+        std::process::id(),
+        RUNS.fetch_add(1, Ordering::Relaxed)
+    ));
+    std::fs::create_dir_all(&out).map_err(|e| format!("cannot create {}: {e}", out.display()))?;
+    let scale = if opts.smoke {
+        Scale::Smoke
+    } else {
+        Scale::Default
+    };
+    let job_list = jobs::matrix(
+        &[opts.entry.name.to_string()],
+        &[Generation::G1, Generation::G2],
+        scale,
+        &out,
+        Some(MetricsSpec {
+            interval: DEFAULT_SAMPLE_INTERVAL,
+        }),
+    );
+    let mut result_hash = FNV_OFFSET;
+    let mut metrics_hash = None;
+    let ran = with_witness(tap.clone(), || {
+        for job in &job_list {
+            let id = job.id();
+            let ctx = JobCtx::detached(id.as_str(), derive_seed(opts.seed, &id));
+            let o = match job.run(&ctx) {
+                Ok(o) => o,
+                Err(e) => {
+                    result_hash = fnv1a_bytes(result_hash, format!("{id} error: {e}").as_bytes());
+                    continue;
+                }
+            };
+            result_hash = fnv1a_bytes(result_hash, o.summary.as_bytes());
+            for rel in &o.artifacts {
+                let bytes = std::fs::read(out.join(rel))
+                    .map_err(|e| format!("cannot read {}: {e}", rel.display()))?;
+                result_hash = fnv1a_bytes(result_hash, rel.to_string_lossy().as_bytes());
+                result_hash = fnv1a_bytes(result_hash, &bytes);
+                if jobs::is_metrics_artifact(rel) {
+                    metrics_hash = Some(fnv1a_bytes(metrics_hash.unwrap_or(FNV_OFFSET), &bytes));
+                }
+            }
+        }
+        Ok::<(), String>(())
+    });
+    let _ = std::fs::remove_dir_all(&out);
+    ran?;
+    let h = tap.hasher.0.borrow();
+    Ok(ChildReport {
+        ops: h.ops(),
+        trace_hash: h.hash(),
+        checkpoint_hash: tap.checkpoint_hash.get(),
+        metrics_hash: metrics_hash.unwrap_or(0),
+        result_hash,
+        dump: h.dumped().to_vec(),
+    })
 }
 
 /// Entry point for `repro divergence-child <exp> [flags]`. Prints the
 /// wire-format report on stdout.
 pub fn child_main(args: &[String]) -> i32 {
-    let mut witness = None;
+    let mut entry = None;
     let mut seed = 42;
     let mut smoke = false;
     let mut prefix = None;
@@ -193,25 +184,30 @@ pub fn child_main(args: &[String]) -> i32 {
                 Some(v) => perturb = Some(v),
                 None => return child_usage("--perturb needs an op index"),
             },
-            other => match registry::find(other).and_then(|e| e.witness) {
-                Some(w) => witness = Some(w),
+            other => match registry::find(other) {
+                Some(e) => entry = Some(e),
                 None => return child_usage(&format!("unknown argument `{other}`")),
             },
         }
     }
-    let Some(witness) = witness else {
-        return child_usage(&format!("which experiment? ({})", witnessed_choices()));
+    let Some(entry) = entry else {
+        return child_usage(&format!("which experiment? ({})", registry::choices()));
     };
     let opts = ChildOpts {
-        witness,
+        entry,
         seed,
         smoke,
         prefix,
         dump,
         perturb,
     };
-    print!("{}", run_child(&opts).to_wire());
-    0
+    match run_child(&opts) {
+        Ok(report) => {
+            print!("{}", report.to_wire());
+            0
+        }
+        Err(e) => child_usage(&e),
+    }
 }
 
 fn child_usage(msg: &str) -> i32 {
@@ -228,9 +224,9 @@ struct ParentOpts {
     out: Option<PathBuf>,
 }
 
-/// Spawns one child and parses its report. `extra` carries probe flags
-/// (`--prefix`, `--dump`, `--perturb`).
-fn spawn_child(opts: &ParentOpts, exp: &Entry, extra: &[String]) -> Result<ChildReport, String> {
+/// Spawns one child. `extra` carries probe flags (`--prefix`, `--dump`,
+/// `--perturb`).
+fn spawn_child(opts: &ParentOpts, exp: &Entry, extra: &[String]) -> Result<Child, String> {
     let exe = std::env::current_exe().map_err(|e| format!("cannot find own binary: {e}"))?;
     let mut cmd = Command::new(exe);
     cmd.arg("divergence-child")
@@ -240,10 +236,18 @@ fn spawn_child(opts: &ParentOpts, exp: &Entry, extra: &[String]) -> Result<Child
     if opts.smoke {
         cmd.arg("--smoke");
     }
-    cmd.args(extra);
-    let output = cmd
-        .output()
-        .map_err(|e| format!("cannot spawn child: {e}"))?;
+    cmd.args(extra)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .map_err(|e| format!("cannot spawn child: {e}"))
+}
+
+/// Waits for one child and parses its report.
+fn child_report(child: Child) -> Result<ChildReport, String> {
+    let output = child
+        .wait_with_output()
+        .map_err(|e| format!("cannot wait for child: {e}"))?;
     if !output.status.success() {
         return Err(format!(
             "child exited with {}: {}",
@@ -254,6 +258,20 @@ fn spawn_child(opts: &ParentOpts, exp: &Entry, extra: &[String]) -> Result<Child
     ChildReport::parse(&String::from_utf8_lossy(&output.stdout))
 }
 
+/// Runs two fresh children side by side, the first with `a`'s probe
+/// flags and the second with `b`'s, and returns both reports.
+fn run_pair(
+    opts: &ParentOpts,
+    exp: &Entry,
+    a: &[String],
+    b: &[String],
+) -> Result<(ChildReport, ChildReport), String> {
+    let first = spawn_child(opts, exp, a)?;
+    let second = spawn_child(opts, exp, b);
+    let first = child_report(first);
+    Ok((first?, child_report(second?)?))
+}
+
 /// Runs the witness for one experiment: two fresh children, compare,
 /// bisect on mismatch. Returns a human-readable verdict plus whether the
 /// runs agreed.
@@ -262,8 +280,7 @@ fn witness_one(opts: &ParentOpts, exp: &Entry) -> Result<(String, bool), String>
         Some(k) => vec!["--perturb".into(), k.to_string()],
         None => Vec::new(),
     };
-    let a = spawn_child(opts, exp, &[])?;
-    let b = spawn_child(opts, exp, &perturb_flags)?;
+    let (a, b) = run_pair(opts, exp, &[], &perturb_flags)?;
     match compare_reports(&a, &b) {
         DivergenceOutcome::Identical { ops, trace_hash } => Ok((
             format!(
@@ -296,10 +313,8 @@ fn witness_one(opts: &ParentOpts, exp: &Entry) -> Result<(String, bool), String>
             // Bisect to the first divergent op.
             let idx = bisect_first_divergence(a.ops, |k| {
                 let probe = vec!["--prefix".to_string(), k.to_string()];
-                let pa = spawn_child(opts, exp, &probe)?;
-                let mut pb = probe.clone();
-                pb.extend(perturb_flags.iter().cloned());
-                let pb = spawn_child(opts, exp, &pb)?;
+                let perturbed = [probe.as_slice(), &perturb_flags].concat();
+                let (pa, pb) = run_pair(opts, exp, &probe, &perturbed)?;
                 Ok(pa.trace_hash != pb.trace_hash)
             })?;
             let window = (idx.saturating_sub(3), idx + 4);
@@ -308,10 +323,8 @@ fn witness_one(opts: &ParentOpts, exp: &Entry) -> Result<(String, bool), String>
                 window.0.to_string(),
                 window.1.to_string(),
             ];
-            let da = spawn_child(opts, exp, &dump)?;
-            let mut db = dump.clone();
-            db.extend(perturb_flags.iter().cloned());
-            let db = spawn_child(opts, exp, &db)?;
+            let perturbed = [dump.as_slice(), &perturb_flags].concat();
+            let (da, db) = run_pair(opts, exp, &dump, &perturbed)?;
             let diff = render_diff(idx, &da.dump, &db.dump);
             Ok((
                 format!(
@@ -325,17 +338,9 @@ fn witness_one(opts: &ParentOpts, exp: &Entry) -> Result<(String, bool), String>
     }
 }
 
-/// Entry point for `repro divergence [NAME|all] [--seed N] [--smoke]
-/// [--perturb K] [--out DIR]`, where NAME is a registry entry with a
-/// witness; with no name, or `all`, every such entry runs in registry
-/// order.
-///
-/// Exit codes mirror the witness's claim: 0 when every selected
-/// experiment's two fresh-process runs are hash-identical (or, under
-/// `--perturb K`, when the planted divergence was found and bisected);
-/// 1 when the runs diverge (or a planted divergence went undetected);
-/// 2 on bad arguments or a failed child.
-pub fn parent_main(args: &[String]) -> i32 {
+/// Parses `repro divergence` arguments. `all`, or no name at all,
+/// selects every registry entry in registry order.
+fn parse_parent(args: &[String]) -> Result<ParentOpts, String> {
     let mut opts = ParentOpts {
         exps: Vec::new(),
         seed: 42,
@@ -348,27 +353,44 @@ pub fn parent_main(args: &[String]) -> i32 {
         match a.as_str() {
             "--seed" => match it.next().and_then(|v| v.parse().ok()) {
                 Some(v) => opts.seed = v,
-                None => return parent_usage("--seed needs an integer"),
+                None => return Err("--seed needs an integer".into()),
             },
             "--smoke" => opts.smoke = true,
             "--perturb" => match it.next().and_then(|v| v.parse().ok()) {
                 Some(v) => opts.perturb = Some(v),
-                None => return parent_usage("--perturb needs an op index"),
+                None => return Err("--perturb needs an op index".into()),
             },
             "--out" => match it.next() {
                 Some(p) => opts.out = Some(PathBuf::from(p)),
-                None => return parent_usage("--out needs a directory"),
+                None => return Err("--out needs a directory".into()),
             },
-            "all" => opts.exps = witnessed().collect(),
-            other => match witnessed().find(|e| e.name == other) {
+            "all" => opts.exps = REGISTRY.iter().collect(),
+            other => match registry::find(other) {
                 Some(e) => opts.exps.push(e),
-                None => return parent_usage(&format!("unknown argument `{other}`")),
+                None => return Err(format!("unknown argument `{other}`")),
             },
         }
     }
     if opts.exps.is_empty() {
-        opts.exps = witnessed().collect();
+        opts.exps = REGISTRY.iter().collect();
     }
+    Ok(opts)
+}
+
+/// Entry point for `repro divergence [NAME|all] [--seed N] [--smoke]
+/// [--perturb K] [--out DIR]`, where NAME is a registry entry; with no
+/// name, or `all`, every entry runs in registry order.
+///
+/// Exit codes mirror the witness's claim: 0 when every selected
+/// experiment's two fresh-process runs are hash-identical (or, under
+/// `--perturb K`, when the planted divergence was found and bisected);
+/// 1 when the runs diverge (or a planted divergence went undetected);
+/// 2 on bad arguments or a failed child.
+pub fn parent_main(args: &[String]) -> i32 {
+    let opts = match parse_parent(args) {
+        Ok(o) => o,
+        Err(msg) => return parent_usage(&msg),
+    };
 
     let mut all_ok = true;
     let mut log = String::new();
@@ -423,7 +445,7 @@ fn parent_usage(msg: &str) -> i32 {
     eprintln!("divergence: {msg}");
     eprintln!(
         "usage: repro divergence [{}|all] [--seed N] [--smoke] [--perturb K] [--out DIR]",
-        witnessed_choices()
+        registry::choices()
     );
     2
 }
@@ -432,47 +454,36 @@ fn parent_usage(msg: &str) -> i32 {
 mod tests {
     use super::*;
 
-    fn witness_of(name: &str) -> Witness {
-        registry::find(name)
-            .and_then(|e| e.witness)
-            .unwrap_or_else(|| panic!("{name} has no witness"))
+    fn child(name: &str, seed: u64, prefix: Option<u64>, perturb: Option<u64>) -> ChildReport {
+        let entry = registry::find(name).unwrap_or_else(|| panic!("no entry {name}"));
+        let opts = ChildOpts {
+            entry,
+            seed,
+            smoke: true,
+            prefix,
+            dump: None,
+            perturb,
+        };
+        run_child(&opts).unwrap_or_else(|e| panic!("{name}: {e}"))
     }
 
     #[test]
     fn tap_reports_are_stable_in_process() {
-        let run = || {
-            let opts = ChildOpts {
-                witness: witness_of("e3"),
-                seed: 7,
-                smoke: true,
-                prefix: None,
-                dump: None,
-                perturb: None,
-            };
-            run_child(&opts)
-        };
-        let (a, b) = (run(), run());
+        let (a, b) = (
+            child("cluster", 7, None, None),
+            child("cluster", 7, None, None),
+        );
         assert!(a.ops > 0, "witness observed no ops");
         assert!(a.agrees_with(&b), "{a:?} vs {b:?}");
-        assert_ne!(a.metrics_hash, 0, "e3 witness samples metrics");
+        assert_ne!(a.metrics_hash, 0, "the cluster job samples metrics");
     }
 
     #[test]
     fn seed_reaches_the_machines() {
-        let run = |seed| {
-            let opts = ChildOpts {
-                witness: witness_of("e0"),
-                seed,
-                smoke: true,
-                prefix: None,
-                dump: None,
-                perturb: None,
-            };
-            run_child(&opts)
-        };
-        let (a, b) = (run(1), run(2));
-        // E0 never crashes, so the op stream is seed-independent — but the
-        // checkpoint carries the config, so the seed must show up there.
+        let (a, b) = (child("bench", 1, None, None), child("bench", 2, None, None));
+        // The bench suite never crashes, so its op stream is
+        // seed-independent — but the seed goes into every machine's
+        // config, which the checkpoint carries.
         assert_eq!(a.ops, b.ops);
         assert_ne!(
             a.checkpoint_hash, b.checkpoint_hash,
@@ -482,17 +493,7 @@ mod tests {
 
     #[test]
     fn perturbed_child_diverges_and_prefix_isolates() {
-        let run = |prefix, perturb| {
-            let opts = ChildOpts {
-                witness: witness_of("e0"),
-                seed: 7,
-                smoke: true,
-                prefix,
-                dump: None,
-                perturb,
-            };
-            run_child(&opts)
-        };
+        let run = |prefix, perturb| child("e15", 7, prefix, perturb);
         let clean = run(None, None);
         let planted = run(None, Some(5));
         assert_eq!(clean.ops, planted.ops);
@@ -506,5 +507,16 @@ mod tests {
             run(Some(6), None).trace_hash,
             run(Some(6), Some(5)).trace_hash
         );
+    }
+
+    #[test]
+    fn all_selects_every_registry_entry_in_order() {
+        let every: Vec<&str> = REGISTRY.iter().map(|e| e.name).collect();
+        for args in [&["all"][..], &[], &["--smoke", "all", "--seed", "7"]] {
+            let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+            let opts = parse_parent(&args).expect("parses");
+            let names: Vec<&str> = opts.exps.iter().map(|e| e.name).collect();
+            assert_eq!(names, every, "args {args:?}");
+        }
     }
 }

@@ -8,7 +8,6 @@ use optane_core::{Generation, Interleaver, Machine, MachineConfig, SchedPolicy, 
 use simbase::XPLINE_BYTES;
 
 use crate::common::{Curve, ExpResult};
-use crate::divergence::WitnessTap;
 
 /// Parameters for E0.
 #[derive(Debug, Clone)]
@@ -23,10 +22,6 @@ pub struct E0Params {
     pub dimms: usize,
     /// Clock frequency for GB/s conversion.
     pub ghz: f64,
-    /// Run seed, XORed into the machine's crash seed. The default 0
-    /// leaves the generation-preset seed untouched, so existing results
-    /// are byte-identical.
-    pub seed: u64,
 }
 
 impl Default for E0Params {
@@ -37,19 +32,12 @@ impl Default for E0Params {
             blocks_per_thread: 10_000,
             dimms: 1,
             ghz: 2.1,
-            seed: 0,
         }
     }
 }
 
 /// Runs E0: sequential read and nt-store write bandwidth vs. threads.
 pub fn run(params: &E0Params) -> ExpResult {
-    run_traced(params, None)
-}
-
-/// Runs E0 with an optional divergence-witness tap observing every
-/// machine's op stream and final checkpoint (see `divergence`).
-pub fn run_traced(params: &E0Params, tap: Option<&WitnessTap>) -> ExpResult {
     let mut result = ExpResult::new(
         format!(
             "E0 / §2.2: bandwidth scaling ({}, {} DIMM)",
@@ -61,21 +49,16 @@ pub fn run_traced(params: &E0Params, tap: Option<&WitnessTap>) -> ExpResult {
     let mut read = Curve::new("sequential read");
     let mut write = Curve::new("nt-store write");
     for &threads in &params.threads {
-        read.push(threads as f64, measure(params, threads, false, tap));
-        write.push(threads as f64, measure(params, threads, true, tap));
+        read.push(threads as f64, measure(params, threads, false));
+        write.push(threads as f64, measure(params, threads, true));
     }
     result.curves = vec![read, write];
     result
 }
 
-fn measure(params: &E0Params, threads: usize, write: bool, tap: Option<&WitnessTap>) -> f64 {
-    let mut cfg =
-        MachineConfig::for_generation(params.generation, PrefetchConfig::all(), params.dimms);
-    cfg.crash_seed ^= params.seed;
+fn measure(params: &E0Params, threads: usize, write: bool) -> f64 {
+    let cfg = MachineConfig::for_generation(params.generation, PrefetchConfig::all(), params.dimms);
     let mut m = Machine::new(cfg);
-    if let Some(tap) = tap {
-        m.set_trace_sink(tap.sink());
-    }
     let tids: Vec<ThreadId> = (0..threads).map(|_| m.spawn(0)).collect();
     // Each thread streams over its own region so the caches and buffers
     // behave as in a bandwidth benchmark.
@@ -84,8 +67,7 @@ fn measure(params: &E0Params, threads: usize, write: bool, tap: Option<&WitnessT
         .collect();
     let data = [0x5Au8; 64];
     // One XPLine per executor step; round-robin visits every lane once
-    // per block index, reproducing the legacy `for b { for w }` nesting
-    // byte-for-byte (see `executor_matches_legacy_nested_loops`).
+    // per block index (`measure_is_pinned` holds the results).
     let mut issued = vec![0u64; threads];
     Interleaver::new(SchedPolicy::RoundRobin).run(
         &mut m,
@@ -115,9 +97,6 @@ fn measure(params: &E0Params, threads: usize, write: bool, tap: Option<&WitnessT
         m.sfence(t);
     }
     let makespan = tids.iter().map(|&t| m.now(t)).max().expect("threads") as f64;
-    if let Some(tap) = tap {
-        tap.fold_machine(&mut m);
-    }
     let bytes = (params.blocks_per_thread * threads as u64 * XPLINE_BYTES) as f64;
     bytes / makespan * params.ghz
 }
@@ -126,58 +105,31 @@ fn measure(params: &E0Params, threads: usize, write: bool, tap: Option<&WitnessT
 mod tests {
     use super::*;
 
-    /// The legacy hand-rolled nesting this module used before the
-    /// executor migration, kept verbatim as the byte-identity reference.
-    fn measure_legacy(params: &E0Params, threads: usize, write: bool) -> f64 {
-        let mut cfg =
-            MachineConfig::for_generation(params.generation, PrefetchConfig::all(), params.dimms);
-        cfg.crash_seed ^= params.seed;
-        let mut m = Machine::new(cfg);
-        let tids: Vec<ThreadId> = (0..threads).map(|_| m.spawn(0)).collect();
-        let regions: Vec<_> = (0..threads)
-            .map(|_| m.alloc_pm(params.blocks_per_thread * XPLINE_BYTES, 4096))
-            .collect();
-        let data = [0x5Au8; 64];
-        for b in 0..params.blocks_per_thread {
-            for w in 0..threads {
-                let block = regions[w].add_xplines(b);
-                if write {
-                    m.nt_store_run(tids[w], block, &data, 4);
-                    if b.is_multiple_of(16) {
-                        m.sfence(tids[w]);
-                    }
-                } else {
-                    m.load_u64_run(tids[w], block, 4);
-                    m.clflushopt_run(tids[w], block, 4);
-                }
-            }
-        }
-        for &t in &tids {
-            m.sfence(t);
-        }
-        let makespan = tids.iter().map(|&t| m.now(t)).max().expect("threads") as f64;
-        let bytes = (params.blocks_per_thread * threads as u64 * XPLINE_BYTES) as f64;
-        bytes / makespan * params.ghz
-    }
-
+    /// `measure` at fixed points, pinned bit for bit: any change to the
+    /// model or the executor that moves E0 shows up here.
     #[test]
-    fn executor_matches_legacy_nested_loops() {
+    fn measure_is_pinned() {
         let params = E0Params {
             blocks_per_thread: 500,
             ..E0Params::default()
         };
+        let mut got = Vec::new();
         for &threads in &[1usize, 3, 4] {
             for &write in &[false, true] {
-                let exec = measure(&params, threads, write, None);
-                let legacy = measure_legacy(&params, threads, write);
-                assert_eq!(
-                    exec.to_bits(),
-                    legacy.to_bits(),
-                    "round-robin executor must be byte-identical to the \
-                     legacy `for b {{ for w }}` loop ({threads} threads, write={write})"
-                );
+                got.push(measure(&params, threads, write).to_bits());
             }
         }
+        assert_eq!(
+            got,
+            [
+                0x3fe1_883a_31b5_75d2,
+                0x3fee_4f27_ddd4_79c3,
+                0x3ffa_4161_9299_71f1,
+                0x3ffc_f3ad_a002_c1e0,
+                0x4001_7a8c_08d8_70be,
+                0x3ffc_e1a2_c7b8_4ff1,
+            ]
+        );
     }
 
     #[test]

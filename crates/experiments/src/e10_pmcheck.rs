@@ -12,8 +12,8 @@
 //!   spot: deliberately deferred node writebacks are flagged and really
 //!   are lost at the crash, but the committed `RingRedoLog` replays them
 //!   — so recovery is still complete;
-//! - workloads run under a [`pmds::FaultPlan`] that drops flushes must be
-//!   flagged **missing-flush**, and recovery must actually lose keys
+//! - workloads run under a [`faultsim::ElisionPlan`] that drops flushes
+//!   must be flagged **missing-flush**, and recovery must actually lose keys
 //!   (the predicted loss is real);
 //! - workloads under a plan that drops fences must be flagged
 //!   **missing-fence** with *nothing* predicted lost — and recovery must
@@ -22,9 +22,10 @@
 //!   program never had a point where durability was guaranteed.
 
 use cpucache::PrefetchConfig;
+use faultsim::{ElisionPlan, FaultyEnv};
 use optane_core::{CrashPolicy, Generation, Machine, MachineConfig};
 use pmcheck::{DiagKind, PmCheck, Report};
-use pmds::{Cceh, ChaseList, FastFair, FaultPlan, FaultyEnv, UpdateStrategy, WriteKind};
+use pmds::{Cceh, ChaseList, FastFair, UpdateStrategy, WriteKind};
 use pmem::{PersistMode, SimEnv};
 use workloads::AccessOrder;
 
@@ -249,7 +250,7 @@ fn run_cceh_missing_flush(p: &E10Params) -> RunOutcome {
         // flushes during the insert phase only.
         let mut env = SimEnv::new(&mut m, t);
         let mut table = Cceh::create(&mut env, p.cceh_depth);
-        let mut faulty = FaultyEnv::new(env, FaultPlan::drop_flushes(p.drop_nth_flush));
+        let mut faulty = FaultyEnv::new(env, ElisionPlan::drop_flushes(p.drop_nth_flush));
         for k in 1..=p.cceh_inserts {
             table.insert(&mut faulty, k, k + 1000);
         }
@@ -286,7 +287,7 @@ fn run_cceh_missing_fence(p: &E10Params) -> RunOutcome {
     let root = {
         let mut env = SimEnv::new(&mut m, t);
         let mut table = Cceh::create(&mut env, p.cceh_depth);
-        let mut faulty = FaultyEnv::new(env, FaultPlan::drop_fences(1));
+        let mut faulty = FaultyEnv::new(env, ElisionPlan::drop_fences(1));
         for k in 1..=p.cceh_inserts {
             table.insert(&mut faulty, k, k + 1000);
         }

@@ -24,10 +24,9 @@
 //! job greps, and op/cycle totals for the `BENCH_cluster.json`
 //! perf baseline.
 
-use cluster::{ClientConfig, ClusterFaultPlan, ClusterParams, ClusterReport, NetParams};
+use cluster::{ClientConfig, ClusterFaultPlan, ClusterParams, NetParams};
 
 use crate::common::{render_flat, Curve, ExpError, ExpResult, MetricsSpec};
-use crate::divergence::WitnessTap;
 
 /// E12 parameters. Defaults run in a few seconds.
 #[derive(Debug, Clone)]
@@ -121,37 +120,8 @@ fn cluster_params(p: &E12Params, idx: usize, interarrival: u64) -> ClusterParams
     }
 }
 
-fn point_report(
-    p: &E12Params,
-    idx: usize,
-    tap: Option<&WitnessTap>,
-) -> Result<ClusterReport, ExpError> {
-    let interarrival = p.interarrival_points[idx];
-    let params = cluster_params(p, idx, interarrival);
-    let report = match tap {
-        Some(t) => {
-            let factory = |_shard: usize| t.sink();
-            cluster::run_traced(params, Some(&factory))
-        }
-        None => cluster::run(params),
-    }
-    .map_err(|e| ExpError::BadParams(format!("cluster point ia={interarrival}: {e}")))?;
-    if let Some(t) = tap {
-        for blob in &report.checkpoint_blobs {
-            t.fold_checkpoint_bytes(blob);
-        }
-    }
-    Ok(report)
-}
-
-/// Runs the sweep. See [`run_traced`] for the witness-tapped variant.
+/// Runs the sweep.
 pub fn run(p: &E12Params) -> Result<E12Output, ExpError> {
-    run_traced(p, None)
-}
-
-/// Runs the sweep with an optional divergence-witness tap observing
-/// every shard machine (including post-recovery replacements).
-pub fn run_traced(p: &E12Params, tap: Option<&WitnessTap>) -> Result<E12Output, ExpError> {
     if p.interarrival_points.is_empty() {
         return Err(ExpError::BadParams("empty interarrival sweep".into()));
     }
@@ -197,7 +167,8 @@ pub fn run_traced(p: &E12Params, tap: Option<&WitnessTap>) -> Result<E12Output, 
         if interarrival == 0 {
             return Err(ExpError::BadParams("interarrival must be > 0".into()));
         }
-        let r = point_report(p, idx, tap)?;
+        let r = cluster::run(cluster_params(p, idx, interarrival))
+            .map_err(|e| ExpError::BadParams(format!("cluster point ia={interarrival}: {e}")))?;
         let load = 1e6 / interarrival as f64;
         c_avail.push(load, r.availability() * 100.0);
         c_served.push(load, r.served_fraction() * 100.0);

@@ -27,12 +27,11 @@
 //! report carries the same grep-able markers CI relies on for e12.
 
 use cluster::{
-    ClientConfig, ClusterFaultPlan, ClusterParams, ClusterReport, MigrationFailTarget,
-    MigrationPhase, MigrationPlan, ReplicationParams,
+    ClientConfig, ClusterFaultPlan, ClusterParams, MigrationFailTarget, MigrationPhase,
+    MigrationPlan, ReplicationParams,
 };
 
 use crate::common::{render_flat, Curve, ExpError, ExpResult, MetricsSpec};
-use crate::divergence::WitnessTap;
 
 /// One drill: a run with (or without) a seeded mid-migration crash.
 #[derive(Debug, Clone, Copy)]
@@ -184,37 +183,8 @@ fn drill_params(p: &E13Params, idx: usize, drill: &Drill) -> ClusterParams {
     }
 }
 
-fn drill_report(
-    p: &E13Params,
-    idx: usize,
-    tap: Option<&WitnessTap>,
-) -> Result<ClusterReport, ExpError> {
-    let params = drill_params(p, idx, &p.drills[idx]);
-    let report = match tap {
-        Some(t) => {
-            let factory = |_shard: usize| t.sink();
-            cluster::run_traced(params, Some(&factory))
-        }
-        None => cluster::run(params),
-    }
-    .map_err(|e| ExpError::BadParams(format!("rebalance drill {idx}: {e}")))?;
-    if let Some(t) = tap {
-        for blob in &report.checkpoint_blobs {
-            t.fold_checkpoint_bytes(blob);
-        }
-    }
-    Ok(report)
-}
-
-/// Runs the drill card. See [`run_traced`] for the witness-tapped
-/// variant.
+/// Runs the drill card.
 pub fn run(p: &E13Params) -> Result<E13Output, ExpError> {
-    run_traced(p, None)
-}
-
-/// Runs the drill card with an optional divergence-witness tap
-/// observing every shard machine.
-pub fn run_traced(p: &E13Params, tap: Option<&WitnessTap>) -> Result<E13Output, ExpError> {
     if p.drills.is_empty() {
         return Err(ExpError::BadParams("empty drill card".into()));
     }
@@ -254,7 +224,8 @@ pub fn run_traced(p: &E13Params, tap: Option<&WitnessTap>) -> Result<E13Output, 
 
     for idx in 0..p.drills.len() {
         let drill = p.drills[idx];
-        let r = drill_report(p, idx, tap)?;
+        let r = cluster::run(drill_params(p, idx, &drill))
+            .map_err(|e| ExpError::BadParams(format!("rebalance drill {idx}: {e}")))?;
         let x = idx as f64;
         c_avail.push(x, r.availability() * 100.0);
         c_served.push(x, r.served_fraction() * 100.0);

@@ -30,7 +30,6 @@ use simbase::XPLINE_BYTES;
 use workloads::YcsbGenerator;
 
 use crate::common::{ops_per_mcycle, Curve, ExpResult};
-use crate::divergence::WitnessTap;
 
 /// Parameters for E14.
 #[derive(Debug, Clone)]
@@ -177,15 +176,6 @@ pub fn bench_json(out: &E14Output) -> String {
 
 /// Runs the full suite.
 pub fn run(params: &E14Params) -> E14Output {
-    run_traced(params, None)
-}
-
-/// Runs the full suite with an optional divergence-witness tap. When the
-/// tap is present it replaces the scenario's own observer as the
-/// machine's TraceSink (the witness hashes the op stream; `trace_events`
-/// then stays 0), which is fine for the witness: both children observe
-/// the same thing or the hashes disagree.
-pub fn run_traced(params: &E14Params, tap: Option<&WitnessTap>) -> E14Output {
     let mut scenarios = Vec::new();
     let mut curves = vec![
         Curve::new("no sink"),
@@ -201,7 +191,7 @@ pub fn run_traced(params: &E14Params, tap: Option<&WitnessTap>) -> E14Output {
             .into_iter()
             .enumerate()
         {
-            let (scenario, jsonl) = run_scenario(params, path, attach, tap);
+            let (scenario, jsonl) = run_scenario(params, path, attach);
             curves[c].push(
                 x as f64,
                 ops_per_mcycle(scenario.sim_ops, scenario.sim_cycles),
@@ -224,25 +214,13 @@ pub fn run_traced(params: &E14Params, tap: Option<&WitnessTap>) -> E14Output {
     E14Output { scenarios, result }
 }
 
-fn run_scenario(
-    params: &E14Params,
-    path: Path,
-    attach: Attach,
-    tap: Option<&WitnessTap>,
-) -> (Scenario, Option<String>) {
+fn run_scenario(params: &E14Params, path: Path, attach: Attach) -> (Scenario, Option<String>) {
     let mut cfg = MachineConfig::for_generation(params.generation, PrefetchConfig::all(), 1);
     cfg.crash_seed ^= params.seed;
     let mut m = Machine::new(cfg);
     let events = Rc::new(Cell::new(0u64));
-    match (tap, attach) {
-        // The witness tap always wins: it must see the op stream.
-        (Some(t), _) => {
-            m.set_trace_sink(t.sink());
-        }
-        (None, Attach::Sink) => {
-            m.set_trace_sink(Box::new(CountingSink(events.clone())));
-        }
-        (None, _) => {}
+    if attach == Attach::Sink {
+        m.set_trace_sink(Box::new(CountingSink(events.clone())));
     }
     let mut sampler = (attach == Attach::Sampler).then(|| {
         let mut s = MachineSampler::new(params.sample_interval);
@@ -261,9 +239,6 @@ fn run_scenario(
         }
         None => None,
     };
-    if let Some(t) = tap {
-        t.fold_machine(&mut m);
-    }
     let scenario = Scenario {
         name: format!("{}_{}", path.slug(), attach.slug()),
         sim_ops,

@@ -35,7 +35,6 @@ use pmem::SimEnv;
 use simbase::{CACHELINE_BYTES, XPLINE_BYTES};
 
 use crate::common::{Curve, ExpError, ExpResult};
-use crate::divergence::WitnessTap;
 
 /// Parameters for E15.
 #[derive(Debug, Clone)]
@@ -72,15 +71,6 @@ impl Default for E15Params {
 
 /// Runs E15: the three contention measurements across the thread sweep.
 pub fn run(params: &E15Params) -> Result<Vec<ExpResult>, ExpError> {
-    run_traced(params, None)
-}
-
-/// Runs E15 with an optional divergence-witness tap observing every
-/// machine's op stream and final checkpoint (see `divergence`).
-pub fn run_traced(
-    params: &E15Params,
-    tap: Option<&WitnessTap>,
-) -> Result<Vec<ExpResult>, ExpError> {
     if params.threads.is_empty() {
         return Err(ExpError::BadParams("empty thread sweep".into()));
     }
@@ -114,8 +104,8 @@ pub fn run_traced(
     let mut peak_mt = MtStats::default();
     for &threads in &params.threads {
         let x = threads as f64;
-        bw_curve.push(x, measure_ntstore(params, threads, tap));
-        rap_curve.push(x, measure_rap(params, threads, tap));
+        bw_curve.push(x, measure_ntstore(params, threads));
+        rap_curve.push(x, measure_rap(params, threads));
         let policies = [
             SchedPolicy::RoundRobin,
             SchedPolicy::SeededRandom {
@@ -123,9 +113,9 @@ pub fn run_traced(
             },
         ];
         for (pi, &policy) in policies.iter().enumerate() {
-            let (tput, mt) = measure_structure(params, threads, policy, false, tap)?;
+            let (tput, mt) = measure_structure(params, threads, policy, false)?;
             ds_curves[pi].push(x, tput);
-            let (tput, qmt) = measure_structure(params, threads, policy, true, tap)?;
+            let (tput, qmt) = measure_structure(params, threads, policy, true)?;
             ds_curves[2 + pi].push(x, tput);
             peak_mt.merge(&mt);
             peak_mt.merge(&qmt);
@@ -146,32 +136,21 @@ pub fn run_traced(
     Ok(vec![bw, rap, ds])
 }
 
-fn machine(
-    params: &E15Params,
-    threads: usize,
-    tap: Option<&WitnessTap>,
-) -> (Machine, Vec<ThreadId>) {
+fn machine(params: &E15Params, threads: usize) -> (Machine, Vec<ThreadId>) {
     let cfg = MachineConfig::for_generation(params.generation, PrefetchConfig::all(), 1);
     let mut m = Machine::new(cfg);
-    if let Some(tap) = tap {
-        m.set_trace_sink(tap.sink());
-    }
     let tids = (0..threads).map(|_| m.spawn(0)).collect();
     (m, tids)
 }
 
-fn finish(m: &mut Machine, tids: &[ThreadId], tap: Option<&WitnessTap>) -> f64 {
-    let makespan = tids.iter().map(|&t| m.now(t)).max().unwrap_or(0) as f64;
-    if let Some(tap) = tap {
-        tap.fold_machine(m);
-    }
-    makespan
+fn makespan(m: &Machine, tids: &[ThreadId]) -> f64 {
+    tids.iter().map(|&t| m.now(t)).max().unwrap_or(0) as f64
 }
 
 /// Striped nt-store streaming: one shared region, lane `w` owns blocks
 /// `w, w+T, w+2T, …`, one block per executor step.
-fn measure_ntstore(params: &E15Params, threads: usize, tap: Option<&WitnessTap>) -> f64 {
-    let (mut m, tids) = machine(params, threads, tap);
+fn measure_ntstore(params: &E15Params, threads: usize) -> f64 {
+    let (mut m, tids) = machine(params, threads);
     let total_blocks = params.blocks_per_thread * threads as u64;
     let region = m.alloc_pm(total_blocks * XPLINE_BYTES, 4096);
     let data = [0x5Au8; 64];
@@ -196,14 +175,14 @@ fn measure_ntstore(params: &E15Params, threads: usize, tap: Option<&WitnessTap>)
     for &t in &tids {
         m.sfence(t);
     }
-    let makespan = finish(&mut m, &tids, tap);
+    let makespan = makespan(&m, &tids);
     (total_blocks * XPLINE_BYTES) as f64 / makespan * params.ghz
 }
 
 /// Contended read-after-persist: every lane `fetch_add`s the same PM
 /// counter and persists it, one op per executor step.
-fn measure_rap(params: &E15Params, threads: usize, tap: Option<&WitnessTap>) -> f64 {
-    let (mut m, tids) = machine(params, threads, tap);
+fn measure_rap(params: &E15Params, threads: usize) -> f64 {
+    let (mut m, tids) = machine(params, threads);
     let counter = m.alloc_pm(CACHELINE_BYTES, CACHELINE_BYTES);
     let mut issued = vec![0u64; threads];
     Interleaver::new(SchedPolicy::RoundRobin).run(
@@ -221,7 +200,7 @@ fn measure_rap(params: &E15Params, threads: usize, tap: Option<&WitnessTap>) -> 
         },
     );
     let total_ops = params.rap_iters_per_thread * threads as u64;
-    let makespan = finish(&mut m, &tids, tap);
+    let makespan = makespan(&m, &tids);
     makespan / total_ops as f64
 }
 
@@ -232,11 +211,10 @@ fn measure_structure(
     threads: usize,
     policy: SchedPolicy,
     queue: bool,
-    tap: Option<&WitnessTap>,
 ) -> Result<(f64, MtStats), ExpError> {
-    let (mut m, tids) = machine(params, threads, tap);
+    let (mut m, tids) = machine(params, threads);
     let total_ops = drive_structure(&mut m, &tids, params.ops_per_thread, policy, queue)?;
-    let makespan = finish(&mut m, &tids, tap);
+    let makespan = makespan(&m, &tids);
     let mt = m.metrics().mt;
     Ok((total_ops as f64 / makespan * 1e6, mt))
 }

@@ -24,10 +24,6 @@ pub struct E1Params {
     pub rounds: u64,
     /// When set, sample `simwatch` metrics at this interval.
     pub metrics: Option<MetricsSpec>,
-    /// Run seed, XORed into the machine's crash seed. The default 0
-    /// leaves the generation-preset seed untouched, so existing results
-    /// are byte-identical.
-    pub seed: u64,
 }
 
 impl Default for E1Params {
@@ -37,7 +33,6 @@ impl Default for E1Params {
             wss_points: (1..=18).map(|k| k * 2048).collect(), // 2 KB .. 36 KB
             rounds: 3,
             metrics: None,
-            seed: 0,
         }
     }
 }
@@ -79,8 +74,7 @@ struct PointOutcome {
 
 fn measure_point(params: &E1Params, wss: u64, cpx: u64) -> PointOutcome {
     let rounds = params.rounds;
-    let mut cfg = MachineConfig::for_generation(params.generation, PrefetchConfig::none(), 1);
-    cfg.crash_seed ^= params.seed;
+    let cfg = MachineConfig::for_generation(params.generation, PrefetchConfig::none(), 1);
     let mut m = Machine::new(cfg);
     let t = m.spawn(0);
     let base = m.alloc_pm(wss, XPLINE_BYTES);
@@ -128,7 +122,6 @@ mod tests {
             wss_points: vec![4 << 10, 8 << 10, 12 << 10, 32 << 10],
             rounds: 2,
             metrics: None,
-            seed: 0,
         })
     }
 
@@ -163,7 +156,6 @@ mod tests {
                 wss_points: vec![20 << 10],
                 rounds: 2,
                 metrics: None,
-                seed: 0,
             });
             r.curve("read 4 cachelines")
                 .unwrap()

@@ -13,7 +13,6 @@ use optane_core::{Generation, ImcQueueStats, Machine, MachineConfig, MachineSamp
 use simbase::XPLINE_BYTES;
 
 use crate::common::{occupancy_note, Curve, ExpResult, MetricsSpec};
-use crate::divergence::WitnessTap;
 
 /// Parameters for E3.
 #[derive(Debug, Clone)]
@@ -26,10 +25,6 @@ pub struct E3Params {
     pub rounds: u64,
     /// When set, sample `simwatch` metrics at this interval.
     pub metrics: Option<MetricsSpec>,
-    /// Run seed, XORed into the machine's crash seed. The default 0
-    /// leaves the generation-preset seed untouched, so existing results
-    /// are byte-identical.
-    pub seed: u64,
 }
 
 impl Default for E3Params {
@@ -39,19 +34,12 @@ impl Default for E3Params {
             wss_points: (1..=32).map(|k| k << 10).collect(), // 1 KB .. 32 KB
             rounds: 12,
             metrics: None,
-            seed: 0,
         }
     }
 }
 
 /// Runs E3: one curve per write fraction.
 pub fn run(params: &E3Params) -> ExpResult {
-    run_traced(params, None)
-}
-
-/// Runs E3 with an optional divergence-witness tap observing every
-/// machine's op stream and final checkpoint (see `divergence`).
-pub fn run_traced(params: &E3Params, tap: Option<&WitnessTap>) -> ExpResult {
     let mut result = ExpResult::new(
         format!("E3 / Figure 3: write amplification ({})", params.generation),
         "WSS(bytes)",
@@ -62,7 +50,7 @@ pub fn run_traced(params: &E3Params, tap: Option<&WitnessTap>) -> ExpResult {
     for cl_per_xpline in [4u64, 3, 2, 1] {
         let mut curve = Curve::new(format!("{}% Write", cl_per_xpline * 25));
         for &wss in &params.wss_points {
-            let point = measure_point(params, wss, cl_per_xpline, tap);
+            let point = measure_point(params, wss, cl_per_xpline);
             curve.push(wss as f64, point.wa);
             if let (Some(all), Some(s)) = (&mut series, point.jsonl) {
                 all.push_str(&s);
@@ -82,19 +70,10 @@ struct PointOutcome {
     queues: ImcQueueStats,
 }
 
-fn measure_point(
-    params: &E3Params,
-    wss: u64,
-    cl_per_xpline: u64,
-    tap: Option<&WitnessTap>,
-) -> PointOutcome {
+fn measure_point(params: &E3Params, wss: u64, cl_per_xpline: u64) -> PointOutcome {
     let rounds = params.rounds;
-    let mut cfg = MachineConfig::for_generation(params.generation, PrefetchConfig::none(), 1);
-    cfg.crash_seed ^= params.seed;
+    let cfg = MachineConfig::for_generation(params.generation, PrefetchConfig::none(), 1);
     let mut m = Machine::new(cfg);
-    if let Some(tap) = tap {
-        m.set_trace_sink(tap.sink());
-    }
     let t = m.spawn(0);
     let base = m.alloc_pm(wss, XPLINE_BYTES);
     let xplines = wss / XPLINE_BYTES;
@@ -139,9 +118,6 @@ fn measure_point(
     if let Some(s) = &mut sampler {
         s.record_final(&m, m.now(t));
     }
-    if let Some(tap) = tap {
-        tap.fold_machine(&mut m);
-    }
     PointOutcome {
         wa: after.telemetry.delta(&before).write_amplification(),
         jsonl: sampler.map(|s| s.to_jsonl()),
@@ -160,7 +136,6 @@ mod tests {
             wss_points: vec![8 << 10],
             rounds: 6,
             metrics: None,
-            seed: 0,
         });
         for frac in ["25% Write", "50% Write", "75% Write"] {
             let wa = r.curve(frac).unwrap().y_at((8 << 10) as f64).unwrap();
@@ -175,7 +150,6 @@ mod tests {
             wss_points: vec![4 << 10],
             rounds: 6,
             metrics: None,
-            seed: 0,
         });
         let wa = r
             .curve("100% Write")
@@ -195,7 +169,6 @@ mod tests {
             wss_points: vec![32 << 10],
             rounds: 10,
             metrics: None,
-            seed: 0,
         });
         let wa25 = r
             .curve("25% Write")
@@ -224,7 +197,6 @@ mod tests {
             wss_points: vec![8 << 10],
             rounds: 6,
             metrics: None,
-            seed: 0,
         });
         let wa = r
             .curve("100% Write")

@@ -69,6 +69,12 @@ fn emit_csv(out_dir: &Path, r: &ExpResult) -> Result<PathBuf, JobError> {
     Ok(rel)
 }
 
+/// Whether a job artifact is a `simwatch` series (`metrics_*.jsonl`).
+pub fn is_metrics_artifact(rel: &Path) -> bool {
+    let name = rel.file_name().and_then(|n| n.to_str()).unwrap_or("");
+    name.starts_with("metrics_") && name.ends_with(".jsonl")
+}
+
 /// Packages a job's output: each result's CSV written atomically and
 /// its table concatenated into the summary, then each `(file, contents)`
 /// of `extra` written atomically, and `tail` appended to the summary.

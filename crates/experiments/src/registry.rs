@@ -3,17 +3,16 @@
 //!
 //! Each [`Entry`] names one experiment by its `repro` name and says how
 //! to run it as a job ([`Entry::run`], once per generation when
-//! [`Entry::per_gen`] is set) and, optionally, how to run it under the
-//! dual-process witness ([`Entry::witness`]). Adding an experiment means
-//! adding one entry here; the matrix order, the usage strings, and
-//! `repro divergence all` follow from the table's order.
+//! [`Entry::per_gen`] is set). The dual-process witness runs those same
+//! jobs. Adding an experiment means adding one entry here; the matrix
+//! order, the usage strings, and `repro divergence all` follow from the
+//! table's order.
 
 use harness::{JobError, JobOutput};
 use optane_core::Generation;
 use std::path::Path;
 
 use crate::common::{log_sweep, ops_per_mcycle, ExpError, MetricsSpec};
-use crate::divergence::{ChildText, Witness, WitnessTap};
 use crate::jobs::{finish, gen_suffix, Scale};
 use crate::{
     ablations, e0_bandwidth, e10_pmcheck, e11_faultsim, e12_cluster, e13_rebalance, e14_simspeed,
@@ -46,32 +45,30 @@ pub struct Entry {
     pub per_gen: bool,
     /// Runs one job and writes its artifacts.
     pub run: fn(&RunCtx) -> Result<JobOutput, JobError>,
-    /// The workload `repro divergence` runs, if it covers this entry.
-    pub witness: Option<Witness>,
 }
 
 /// Every experiment, in canonical matrix order.
 #[rustfmt::skip]
 pub static REGISTRY: &[Entry] = &[
-    Entry { name: "e0", per_gen: true, run: e0, witness: Some(e0_witness) },
-    Entry { name: "e1", per_gen: true, run: e1, witness: None },
-    Entry { name: "e2", per_gen: true, run: e2, witness: None },
-    Entry { name: "e3", per_gen: true, run: e3, witness: Some(e3_witness) },
-    Entry { name: "e4", per_gen: false, run: e4, witness: None },
-    Entry { name: "e5", per_gen: true, run: e5, witness: None },
-    Entry { name: "e6", per_gen: true, run: e6, witness: None },
-    Entry { name: "table1", per_gen: false, run: table1, witness: None },
-    Entry { name: "e7", per_gen: false, run: e7, witness: None },
-    Entry { name: "e8", per_gen: false, run: e8, witness: None },
-    Entry { name: "mixes", per_gen: true, run: mixes, witness: None },
-    Entry { name: "pmcheck", per_gen: true, run: pmcheck, witness: None },
-    Entry { name: "faultsim", per_gen: true, run: faultsim, witness: None },
-    Entry { name: "e9", per_gen: true, run: e9, witness: None },
-    Entry { name: "cluster", per_gen: false, run: cluster, witness: Some(cluster_witness) },
-    Entry { name: "rebalance", per_gen: false, run: rebalance, witness: Some(rebalance_witness) },
-    Entry { name: "bench", per_gen: false, run: bench, witness: Some(bench_witness) },
-    Entry { name: "e15", per_gen: true, run: e15, witness: Some(e15_witness) },
-    Entry { name: "ablations", per_gen: false, run: ablations, witness: None },
+    Entry { name: "e0", per_gen: true, run: e0 },
+    Entry { name: "e1", per_gen: true, run: e1 },
+    Entry { name: "e2", per_gen: true, run: e2 },
+    Entry { name: "e3", per_gen: true, run: e3 },
+    Entry { name: "e4", per_gen: false, run: e4 },
+    Entry { name: "e5", per_gen: true, run: e5 },
+    Entry { name: "e6", per_gen: true, run: e6 },
+    Entry { name: "table1", per_gen: false, run: table1 },
+    Entry { name: "e7", per_gen: false, run: e7 },
+    Entry { name: "e8", per_gen: false, run: e8 },
+    Entry { name: "mixes", per_gen: true, run: mixes },
+    Entry { name: "pmcheck", per_gen: true, run: pmcheck },
+    Entry { name: "faultsim", per_gen: true, run: faultsim },
+    Entry { name: "e9", per_gen: true, run: e9 },
+    Entry { name: "cluster", per_gen: false, run: cluster },
+    Entry { name: "rebalance", per_gen: false, run: rebalance },
+    Entry { name: "bench", per_gen: false, run: bench },
+    Entry { name: "e15", per_gen: true, run: e15 },
+    Entry { name: "ablations", per_gen: false, run: ablations },
 ];
 
 /// The entry named `name`.
@@ -79,14 +76,9 @@ pub fn find(name: &str) -> Option<&'static Entry> {
     REGISTRY.iter().find(|e| e.name == name)
 }
 
-/// `a|b|..` over the names of the entries `keep` accepts, in registry
-/// order.
-pub fn choices(keep: fn(&Entry) -> bool) -> String {
-    let names: Vec<&str> = REGISTRY
-        .iter()
-        .filter(|e| keep(e))
-        .map(|e| e.name)
-        .collect();
+/// `a|b|..` over every entry name, in registry order.
+pub fn choices() -> String {
+    let names: Vec<&str> = REGISTRY.iter().map(|e| e.name).collect();
     names.join("|")
 }
 
@@ -96,7 +88,7 @@ pub fn usage() -> String {
         "usage: repro [{}|all] [--full | --smoke] [--out DIR] [--gen g1|g2|both] [--parallel N] \
          [--resume] [--deadline SECS] [--seed N] [--metrics PATH] \
          [--sample-interval CYCLES] [--inject panic:JOB|hang:JOB]",
-        choices(|_| true)
+        choices()
     )
 }
 
@@ -421,107 +413,6 @@ fn ablations(c: &RunCtx) -> Result<JobOutput, JobError> {
     finish(c.out, &[], &extra, &summary, validated)
 }
 
-// Witness workloads: small enough that a bisection (tens of child
-// re-runs) stays in CI budget, big enough to exercise buffers, caches,
-// and the sampler.
-
-fn e0_witness(seed: u64, smoke: bool, tap: &WitnessTap) -> ChildText {
-    let params = e0_bandwidth::E0Params {
-        threads: vec![1, 2],
-        blocks_per_thread: if smoke { 200 } else { 1000 },
-        seed,
-        ..Default::default()
-    };
-    let r = e0_bandwidth::run_traced(&params, Some(tap));
-    ChildText::of(String::new(), &[r], "")
-}
-
-fn e3_witness(seed: u64, smoke: bool, tap: &WitnessTap) -> ChildText {
-    let params = e3_write_amp::E3Params {
-        wss_points: vec![4 << 10, 16 << 10],
-        rounds: if smoke { 3 } else { 6 },
-        metrics: Some(MetricsSpec { interval: 50_000 }),
-        seed,
-        ..Default::default()
-    };
-    let r = e3_write_amp::run_traced(&params, Some(tap));
-    ChildText::of(String::new(), &[r], "")
-}
-
-fn cluster_witness(seed: u64, smoke: bool, tap: &WitnessTap) -> ChildText {
-    // One load point keeps a bisection's tens of re-runs in CI budget
-    // while still crossing the power-fail + recovery path that produces
-    // replacement machines mid-run.
-    let mut params = e12_cluster::E12Params::smoke(seed);
-    params.interarrival_points = vec![1_500];
-    if smoke {
-        params.preload_keys = 120;
-        params.ops = 500;
-    }
-    params.metrics = Some(MetricsSpec { interval: 40_000 });
-    match e12_cluster::run_traced(&params, Some(tap)) {
-        Ok(out) => ChildText::of(String::new(), &out.results, &out.availability_report),
-        Err(e) => ChildText::error("cluster", e),
-    }
-}
-
-fn rebalance_witness(seed: u64, smoke: bool, tap: &WitnessTap) -> ChildText {
-    // One mid-Copy source-crash drill: the migration + recovery path
-    // with the fewest runs that still crosses epoch bumps, control-record
-    // replay, and anti-entropy repair.
-    let mut params = e13_rebalance::E13Params::smoke(seed);
-    params.drills = vec![e13_rebalance::FULL_DRILLS[2]];
-    if smoke {
-        params.preload_keys = 120;
-        params.ops = 600;
-    }
-    params.metrics = Some(MetricsSpec { interval: 40_000 });
-    match e13_rebalance::run_traced(&params, Some(tap)) {
-        Ok(out) => ChildText::of(String::new(), &out.results, &out.rebalance_report),
-        Err(e) => ChildText::error("rebalance", e),
-    }
-}
-
-fn bench_witness(seed: u64, smoke: bool, tap: &WitnessTap) -> ChildText {
-    // The speed suite doubles as a batching witness: the tap replaces
-    // each scenario's own observer, so the hashed op stream covers all
-    // three hot paths (including the batched ones) under every
-    // attachment variant.
-    let params = if smoke {
-        e14_simspeed::E14Params::smoke(seed)
-    } else {
-        e14_simspeed::E14Params {
-            seed,
-            ..Default::default()
-        }
-    };
-    let out = e14_simspeed::run_traced(&params, Some(tap));
-    ChildText::of(
-        e14_simspeed::bench_json(&out),
-        std::slice::from_ref(&out.result),
-        "",
-    )
-}
-
-fn e15_witness(seed: u64, smoke: bool, tap: &WitnessTap) -> ChildText {
-    // Exercises the executor under BOTH scheduler policies (the structure
-    // sweep runs round-robin and seeded-random per point), the locked-RMW
-    // trace events, and the detectable stack/queue step machines — all
-    // folded into one witness.
-    let params = e15_mt::E15Params {
-        threads: if smoke { vec![1, 2] } else { vec![1, 2, 4] },
-        blocks_per_thread: if smoke { 200 } else { 800 },
-        rap_iters_per_thread: if smoke { 100 } else { 400 },
-        ops_per_thread: if smoke { 24 } else { 80 },
-        sched_seed: seed,
-        ..Default::default()
-    };
-    match e15_mt::run_traced(&params, Some(tap)) {
-        Ok(results) => ChildText::of(String::new(), &results, ""),
-        Err(e) => ChildText::error("e15", e),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -532,16 +423,6 @@ mod tests {
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), REGISTRY.len(), "entry names are unique");
-
-        let witnessed: Vec<&str> = REGISTRY
-            .iter()
-            .filter(|e| e.witness.is_some())
-            .map(|e| e.name)
-            .collect();
-        assert_eq!(
-            witnessed,
-            ["e0", "e3", "cluster", "rebalance", "bench", "e15"]
-        );
 
         let usage = usage();
         let words: Vec<&str> = usage.split(['[', ']', '|', ' ']).collect();

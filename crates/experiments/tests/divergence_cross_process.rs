@@ -1,8 +1,10 @@
 //! Cross-process determinism: the tentpole guarantee, tested end to end.
 //!
 //! Two *separate* child processes (fresh SipHash keys, fresh address
-//! space) run the same small experiment at the same seed; their trace
-//! hashes, checkpoint bytes, and metrics JSONL must agree bit for bit.
+//! space) run the same registry entry's smoke jobs at the same seed; their
+//! trace hashes, checkpoint bytes, and metrics JSONL must agree bit for
+//! bit. The bisection tests use `e15`, the cheapest entry that crosses
+//! the multi-thread executor.
 //! A third process with a planted perturbation must disagree — otherwise
 //! the witness is vacuous. Finally the full parent-side bisector is
 //! driven through `repro divergence --perturb` to prove it locates the
@@ -40,7 +42,7 @@ fn fields(stdout: &str) -> Vec<(String, String)> {
 
 #[test]
 fn two_processes_same_seed_are_hash_identical() {
-    for exp in ["e0", "e3", "cluster"] {
+    for exp in ["e15", "e3", "cluster"] {
         let a = child_stdout(&[exp, "--seed", "7", "--smoke"]);
         let b = child_stdout(&[exp, "--seed", "7", "--smoke"]);
         assert_eq!(
@@ -62,7 +64,7 @@ fn two_processes_same_seed_are_hash_identical() {
 
 #[test]
 fn metrics_hash_is_cross_process_stable_and_nonzero() {
-    let a = child_stdout(&["e3", "--seed", "3", "--smoke"]);
+    let a = child_stdout(&["rebalance", "--seed", "3", "--smoke"]);
     let get = |s: &str, key: &str| {
         fields(s)
             .into_iter()
@@ -73,17 +75,17 @@ fn metrics_hash_is_cross_process_stable_and_nonzero() {
     assert_ne!(
         get(&a, "metrics_hash"),
         "0x0000000000000000",
-        "e3 witness must hash a real simwatch series"
+        "the rebalance job must hash a real simwatch series"
     );
-    let b = child_stdout(&["e3", "--seed", "3", "--smoke"]);
+    let b = child_stdout(&["rebalance", "--seed", "3", "--smoke"]);
     assert_eq!(get(&a, "metrics_hash"), get(&b, "metrics_hash"));
     assert_eq!(get(&a, "checkpoint_hash"), get(&b, "checkpoint_hash"));
 }
 
 #[test]
 fn planted_perturbation_is_visible_across_processes() {
-    let clean = child_stdout(&["e0", "--seed", "7", "--smoke"]);
-    let planted = child_stdout(&["e0", "--seed", "7", "--smoke", "--perturb", "17"]);
+    let clean = child_stdout(&["e15", "--seed", "7", "--smoke"]);
+    let planted = child_stdout(&["e15", "--seed", "7", "--smoke", "--perturb", "17"]);
     let get = |s: &str, key: &str| {
         fields(s)
             .into_iter()
@@ -106,7 +108,7 @@ fn parent_bisects_planted_divergence_to_the_exact_op() {
     let out = repro()
         .args([
             "divergence",
-            "e0",
+            "e15",
             "--seed",
             "7",
             "--smoke",
@@ -134,7 +136,7 @@ fn parent_bisects_planted_divergence_to_the_exact_op() {
 #[test]
 fn parent_reports_agreement_for_clean_runs() {
     let out = repro()
-        .args(["divergence", "e0", "--seed", "9", "--smoke"])
+        .args(["divergence", "e15", "--seed", "9", "--smoke"])
         .output()
         .expect("spawn repro divergence");
     let stdout = String::from_utf8_lossy(&out.stdout);
@@ -156,7 +158,7 @@ fn unwritable_out_dir_exits_2() {
     let file = std::env::temp_dir().join(format!("divergence-out-file-{}", std::process::id()));
     std::fs::write(&file, b"not a directory").expect("create blocker file");
     let out = repro()
-        .args(["divergence", "e0", "--seed", "9", "--smoke", "--out"])
+        .args(["divergence", "e15", "--seed", "9", "--smoke", "--out"])
         .arg(file.join("sub"))
         .output()
         .expect("spawn repro divergence");

@@ -13,7 +13,6 @@ fn e1_series() -> String {
         wss_points: vec![8 << 10, 24 << 10],
         rounds: 2,
         metrics: Some(MetricsSpec { interval: 50_000 }),
-        seed: 0,
     });
     r.metrics_jsonl.expect("sampling was requested")
 }
@@ -24,7 +23,6 @@ fn e3_series() -> String {
         wss_points: vec![8 << 10],
         rounds: 4,
         metrics: Some(MetricsSpec { interval: 50_000 }),
-        seed: 0,
     });
     r.metrics_jsonl.expect("sampling was requested")
 }
@@ -66,7 +64,6 @@ fn write_experiment_reports_wpq_occupancy() {
         wss_points: vec![8 << 10],
         rounds: 4,
         metrics: Some(MetricsSpec { interval: 50_000 }),
-        seed: 0,
     });
     let note = r
         .notes

@@ -213,6 +213,7 @@ fn bad_arguments_exit_2() {
         &["e1", "--gen"][..],
         &["e1", "--metrics", "--smoke"][..],
         &["e1", "--out", "--smoke"][..],
+        &["e1", "--gen", "g1", "--smoke", "--inject", "hang:e1:g1"][..],
     ] {
         let out = temp_out("badargs");
         let run = run_repro(args, &out);

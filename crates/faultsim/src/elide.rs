@@ -10,9 +10,6 @@
 //!
 //! Dropping a `clwb` turns a correct persist into a missing-flush bug;
 //! dropping an `sfence` turns it into a missing-fence (ordering) bug.
-//!
-//! (Formerly `pmds::inject`; it moved here when `faultsim` unified fault
-//! injection across layers. `pmds` re-exports it under its old names.)
 
 use optane_core::ReadError;
 use pmem::PmemEnv;

@@ -16,7 +16,6 @@ fn c1_read_buffer_capacity_step() {
         wss_points: vec![8 << 10, 24 << 10],
         rounds: 2,
         metrics: None,
-        seed: 0,
     });
     let one = r.curve("read 1 cacheline").unwrap();
     let four = r.curve("read 4 cachelines").unwrap();
