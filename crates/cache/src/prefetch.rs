@@ -285,6 +285,16 @@ impl Prefetchers {
         out
     }
 
+    /// Returns `true` if the last demand access observed was to `addr`'s
+    /// line. Repeating it on a hit then suggests nothing: the access is
+    /// not ascending, so the run restarts at one and neither the DCU
+    /// streamer nor the sector continuation fires, and the buddy fetch
+    /// and the L2 streamer act on misses only.
+    #[inline]
+    pub(crate) fn last_saw(&self, addr: Addr) -> bool {
+        self.last_line == Some(addr.cacheline().0 / CACHELINE_BYTES)
+    }
+
     /// Returns per-prefetcher issue counters.
     pub fn stats(&self) -> PrefetcherStats {
         self.issued
@@ -410,6 +420,20 @@ mod tests {
             }
         }
         assert_eq!(deep as u64, trials / STREAM_GATE_DEN);
+    }
+
+    #[test]
+    fn a_repeated_hit_suggests_nothing() {
+        let mut p = Prefetchers::new(PrefetchConfig::all());
+        for i in 0..8u64 {
+            p.on_demand_access(Addr(i * 64), true);
+        }
+        assert!(p.last_saw(Addr(7 * 64 + 8)));
+        assert!(!p.last_saw(Addr(6 * 64)));
+        let before = p.stats();
+        assert!(p.on_demand_access(Addr(7 * 64), false).is_empty());
+        assert!(p.on_demand_access(Addr(7 * 64), false).is_empty());
+        assert_eq!(p.stats(), before);
     }
 
     #[test]

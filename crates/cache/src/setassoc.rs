@@ -12,14 +12,16 @@
 //! the keys of one set and reads a stamp only on a hit; a fill also reads
 //! the set's stamps to pick the LRU victim.
 //!
-//! Both tables start all-zero and are built with `vec![0; n]`. A large
-//! zeroed allocation comes back as untouched zero pages, so a set the run
-//! never touches costs address space but no resident memory. That keeps a
-//! machine with dozens of cores and multi-megabyte L3s cheap to build when
-//! one thread on one core runs. (Once a process has freed a table of some
-//! size, glibc may serve the next one from its heap and clear it in place,
-//! so a process that builds many machines pays that clearing per table.)
-//! A live-line counter makes emptiness checks O(1), which the flush path
+//! Both tables are allocated, zeroed, by the first `fill`. Until then
+//! the cache holds no table at all: lookups miss, and `invalidate` and
+//! `clean` find nothing. Zeroing is not free: the allocator clears a
+//! small table (an 8-way 32 KiB L1 has 8 KiB of them) in place on the
+//! heap, and a large one too once the process has freed a table of that
+//! size; only a fresh large allocation comes back as untouched zero
+//! pages. A machine configures private L1 and L2 caches for dozens of
+//! cores, so allocating on first fill is what keeps the cores a run never
+//! uses from costing host memory. `reset` drops the tables again. A
+//! live-line counter makes emptiness checks O(1), which the flush path
 //! relies on to skip the many per-core caches that hold nothing.
 
 use std::ops::Range;
@@ -71,10 +73,14 @@ impl FastMod {
 /// Set-associative, LRU, write-back cache (metadata only).
 #[derive(Debug, Clone)]
 pub struct Cache {
-    /// Resident line number + 1 per slot; 0 is an empty slot.
+    /// Resident line number + 1 per slot; 0 is an empty slot. Empty
+    /// (no table) until the first fill.
     keys: Vec<u64>,
-    /// `tick << 1 | dirty` per slot; 0 for an empty slot.
+    /// `tick << 1 | dirty` per slot; 0 for an empty slot. Allocated with
+    /// `keys`.
     stamps: Vec<u64>,
+    /// `num_sets * ways`: the length of both tables once allocated.
+    slots: usize,
     sets: FastMod,
     ways: usize,
     tick: u64,
@@ -100,10 +106,10 @@ impl Cache {
         let lines = capacity_bytes / CACHELINE_BYTES;
         assert!(lines >= ways as u64, "capacity smaller than one set");
         let num_sets = (lines / ways as u64).max(1);
-        let slots = num_sets as usize * ways;
         Cache {
-            keys: vec![0; slots],
-            stamps: vec![0; slots],
+            keys: Vec::new(),
+            stamps: Vec::new(),
+            slots: num_sets as usize * ways,
             sets: FastMod::new(num_sets),
             ways,
             tick: 0,
@@ -121,12 +127,14 @@ impl Cache {
         (line + 1, start..start + self.ways)
     }
 
-    /// Returns the slot holding `addr`, if resident.
+    /// Returns the slot holding `addr`, if resident. Before the first
+    /// fill there is no table and the range lookup misses.
     #[inline]
-    fn slot_of(&self, addr: Addr) -> Option<usize> {
+    pub fn slot_of(&self, addr: Addr) -> Option<usize> {
         let (key, set) = self.locate(addr);
         let start = set.start;
-        self.keys[set]
+        self.keys
+            .get(set)?
             .iter()
             .position(|&k| k == key)
             .map(|i| start + i)
@@ -155,6 +163,22 @@ impl Cache {
         }
     }
 
+    /// Repeats a hit on `addr` known to sit in `slot` (from
+    /// [`Cache::slot_of`]): refreshes LRU and counts the hit exactly as
+    /// `access(addr, false)` would. Returns `false`, changing nothing, if
+    /// `slot` does not hold `addr`.
+    #[inline]
+    pub fn touch(&mut self, slot: usize, addr: Addr) -> bool {
+        let key = addr.cacheline().0 / CACHELINE_BYTES + 1;
+        if self.keys.get(slot) != Some(&key) {
+            return false;
+        }
+        let stamp = self.next_stamp(false);
+        self.stamps[slot] = stamp | (self.stamps[slot] & 1);
+        self.hits += 1;
+        true
+    }
+
     /// Returns `true` if `addr` is resident, without touching LRU or stats.
     pub fn peek(&self, addr: Addr) -> bool {
         self.slot_of(addr).is_some()
@@ -165,6 +189,10 @@ impl Cache {
     pub fn fill(&mut self, addr: Addr, dirty: bool) -> Option<Evicted> {
         let stamp = self.next_stamp(dirty);
         let (key, set) = self.locate(addr);
+        if self.keys.is_empty() {
+            self.keys = vec![0; self.slots];
+            self.stamps = vec![0; self.slots];
+        }
         let keys = &mut self.keys[set.clone()];
         let stamps = &mut self.stamps[set];
         // One pass over the set's slices: find the resident line, a free
@@ -272,15 +300,11 @@ impl Cache {
         self.misses = 0;
     }
 
-    /// Clears contents and statistics.
-    ///
-    /// Fresh zeroed tables replace occupied ones instead of being
-    /// overwritten, so the reset cache again holds only zero pages.
+    /// Clears contents and statistics, and drops the tables: a reset
+    /// cache holds no host memory until it is filled again.
     pub fn reset(&mut self) {
-        if self.live > 0 {
-            self.keys = vec![0; self.keys.len()];
-            self.stamps = vec![0; self.stamps.len()];
-        }
+        self.keys = Vec::new();
+        self.stamps = Vec::new();
         self.live = 0;
         self.hits = 0;
         self.misses = 0;

@@ -13,12 +13,12 @@
 //! persistence semantics and is modelled faithfully, including the G1/G2
 //! `clwb` difference.
 //!
-//! Every level is a [`Cache`]: a zero-initialised key table (line number
-//! plus one per slot) and a stamp table (LRU tick and dirty bit per slot).
-//! A full G1 machine configures 2 sockets × 20 cores of L1 and L2 plus two
-//! 27.5 MB L3s, about 24 MiB of tables, but a fresh allocation of them is
-//! untouched zero pages: host memory grows only with the sets a run
-//! actually fills, so one thread on one core pays for one core's caches.
+//! Every level is a [`Cache`]: a key table (line number plus one per
+//! slot) and a stamp table (LRU tick and dirty bit per slot). A full G1
+//! machine configures 2 sockets × 20 cores of L1 and L2 plus two 27.5 MB
+//! L3s, about 24 MiB of tables, but a cache allocates its tables only when
+//! a line is first filled into it, so one thread on one core pays for one
+//! core's caches (and the sets of the L3 it touches).
 
 use simbase::{Addr, Cycles, HitMiss};
 
@@ -269,6 +269,36 @@ impl CacheSystem {
             writebacks,
             prefetch,
         }
+    }
+
+    /// Returns the L1 slot of `addr` in `core` if a load of it would be a
+    /// plain L1 hit that suggests no prefetch: the line sits in the
+    /// core's L1, and the core's prefetchers last saw it, so repeating
+    /// the access suggests nothing. [`CacheSystem::repeat_l1_hit`] then
+    /// replays that load.
+    #[inline]
+    pub fn repeat_slot(&self, core: usize, addr: Addr) -> Option<usize> {
+        let c = &self.cores[core];
+        if !c.pf.last_saw(addr) {
+            return None;
+        }
+        c.l1.slot_of(addr)
+    }
+
+    /// Replays a load that [`CacheSystem::repeat_slot`] found to be a
+    /// plain L1 hit at `slot`, with exactly the side effects of
+    /// `access(core, addr, false)`: the L1 LRU stamp and hit count, and
+    /// the prefetchers' observation of the access. Returns `false`,
+    /// changing nothing, if `slot` no longer holds the line.
+    #[inline]
+    pub fn repeat_l1_hit(&mut self, core: usize, addr: Addr, slot: usize) -> bool {
+        let c = &mut self.cores[core];
+        if !c.l1.touch(slot, addr) {
+            return false;
+        }
+        let suggested = c.pf.on_demand_access(addr, false);
+        debug_assert!(suggested.is_empty(), "a repeated hit prefetches");
+        true
     }
 
     fn mark_occupied(&mut self, core: usize) {
@@ -614,6 +644,35 @@ mod tests {
             Some(HitLevel::L1),
             "stats reset keeps contents"
         );
+    }
+
+    #[test]
+    fn repeated_l1_hit_matches_a_demand_access() {
+        let mut a = small_system(PrefetchConfig::all());
+        let mut b = small_system(PrefetchConfig::all());
+        for s in [&mut a, &mut b] {
+            for i in 0..6u64 {
+                s.access(0, Addr(i * 64), i % 2 == 0);
+            }
+            s.access(0, Addr(4 * 64), false);
+        }
+        assert_eq!(a.repeat_slot(0, Addr(3 * 64)), None, "not the last access");
+        assert_eq!(a.repeat_slot(1, Addr(4 * 64)), None, "another core");
+        let slot = a.repeat_slot(0, Addr(4 * 64)).expect("a plain L1 hit");
+        assert!(a.repeat_l1_hit(0, Addr(4 * 64), slot));
+        let r = b.access(0, Addr(4 * 64), false);
+        assert_eq!(
+            (r.level, r.writebacks.len(), r.prefetch.len()),
+            (HitLevel::L1, 0, 0)
+        );
+        assert_eq!(a.hierarchy_stats(), b.hierarchy_stats());
+        // The LRU order moved identically: the same victim leaves next.
+        for s in [&mut a, &mut b] {
+            s.access(0, Addr(64 * 64), false);
+        }
+        assert_eq!(a.contains(0, Addr(4 * 64)), b.contains(0, Addr(4 * 64)));
+        assert_eq!(a.contains(0, Addr(2 * 64)), b.contains(0, Addr(2 * 64)));
+        assert!(!a.repeat_l1_hit(0, Addr(4 * 64), slot ^ 1), "slot checked");
     }
 
     #[test]

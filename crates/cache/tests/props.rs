@@ -145,7 +145,20 @@ fn check_against_model(capacity_bytes: u64, ways: usize, ops: &[(u64, u64, bool)
                     other => panic!("eviction mismatch: {other:?}"),
                 }
             }
-            45..=74 => assert_eq!(cache.access(addr, dirty), model.access(addr, dirty)),
+            45..=69 => assert_eq!(cache.access(addr, dirty), model.access(addr, dirty)),
+            70..=74 => {
+                // The repeat path: a slot lookup, then a slot-checked
+                // touch that must count and refresh like a clean access.
+                let slot = cache.slot_of(addr);
+                assert_eq!(slot.is_some(), model.peek(addr));
+                match slot {
+                    Some(slot) => {
+                        assert!(cache.touch(slot, addr));
+                        assert!(model.access(addr, false));
+                    }
+                    None => assert!(!cache.touch(i as usize % ways, addr)),
+                }
+            }
             75..=82 => assert_eq!(cache.peek(addr), model.peek(addr)),
             83..=90 => assert_eq!(cache.invalidate(addr), model.invalidate(addr)),
             91..=97 => assert_eq!(cache.clean(addr), model.clean(addr)),
@@ -168,6 +181,31 @@ fn check_against_model(capacity_bytes: u64, ways: usize, ops: &[(u64, u64, bool)
         let addr = Addr(pool_line(i) * 64);
         assert_eq!(cache.peek(addr), model.peek(addr), "line {:#x}", addr.0);
     }
+}
+
+#[test]
+fn a_table_that_was_never_filled_misses_everything() {
+    // Tables are allocated by the first fill; before it, and after a
+    // reset drops them, every query must answer as for an empty cache.
+    let mut cache = Cache::new(27_500 << 10, 11);
+    for _ in 0..2 {
+        for i in 0..POOL {
+            let addr = Addr(pool_line(i) * 64);
+            assert!(!cache.peek(addr));
+            assert_eq!(cache.slot_of(addr), None);
+            assert!(!cache.touch(i as usize, addr));
+            assert_eq!(cache.invalidate(addr), None);
+            assert_eq!(cache.clean(addr), None);
+        }
+        assert!(cache.is_empty());
+        assert!(cache.drain_dirty().is_empty());
+        assert_eq!(cache.counters(), HitMiss::new());
+        cache.fill(Addr(64), true);
+        assert!(cache.peek(Addr(64)));
+        cache.reset();
+    }
+    assert!(!cache.access(Addr(64), false), "a miss is counted");
+    assert_eq!(cache.counters(), HitMiss::of(0, 1));
 }
 
 /// Pool size: 16 lines per region, several times the 15-16 line caches.
@@ -335,6 +373,13 @@ proptest! {
         // enough to stress eviction constantly.
         check_against_model(16 * 64, 4, &ops);
         check_against_model(15 * 64, 3, &ops);
+        // The associativities the G1 and G2 hierarchies configure, at one
+        // and two sets, so a set fills up and evicts within the pool.
+        for ways in [8, 11, 12, 16, 20] {
+            for sets in [1, 2] {
+                check_against_model(sets * ways as u64 * 64, ways, &ops);
+            }
+        }
     }
 
     #[test]

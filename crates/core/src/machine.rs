@@ -125,6 +125,41 @@ const STREAMING_COPY_LINE_COST: Cycles = 40;
 /// snapshot config fingerprint.
 const LOCKED_RMW_COST: Cycles = 24;
 
+/// The repeat record: the machine's last call, when it was a one-line
+/// [`Machine::load`], and the proof that repeating it is a plain L1 hit.
+///
+/// When a thread loads the line it loaded last, with no other `Machine`
+/// call between, the record is armed: if the line sits in the thread's
+/// L1 at `slot` and nothing can make a load of it anything but a plain
+/// hit (see [`Machine::plain_repeat_slot`]), the line's bytes are
+/// captured. This repeat and every further one then replay the hit's
+/// side effects and copy the bytes, skipping the lookups a first touch
+/// needs. Every
+/// other `&mut self` method of `Machine` forgets the record, which is
+/// what keeps `slot` and `bytes` current (DESIGN.md §14, "Repeat record").
+#[derive(Debug)]
+struct RepeatLoad {
+    /// Thread of the last call; `None` when the last call was not a
+    /// one-line load.
+    tid: Option<ThreadId>,
+    /// Cacheline of that load.
+    line: Addr,
+    /// L1 slot of `line` once a repeat proved a plain hit; `None` until
+    /// then, and `bytes` is stale.
+    slot: Option<usize>,
+    /// The line's functional bytes while `slot` is set.
+    bytes: [u8; 64],
+}
+
+impl RepeatLoad {
+    const NONE: RepeatLoad = RepeatLoad {
+        tid: None,
+        line: Addr(0),
+        slot: None,
+        bytes: [0; 64],
+    };
+}
+
 /// The simulated machine.
 #[derive(Debug)]
 pub struct Machine {
@@ -172,6 +207,7 @@ pub struct Machine {
     /// stopped. `baseline.telemetry.demand` is always zero: the demand
     /// counter itself survives quiescing.
     metrics_baseline: MachineMetrics,
+    repeat: RepeatLoad,
 }
 
 /// Garble pattern written over a line whose media cells lost their data.
@@ -211,18 +247,29 @@ impl Machine {
             faults: FaultHooks::none(),
             fault_stats: FaultStats::default(),
             metrics_baseline: MachineMetrics::default(),
+            repeat: RepeatLoad::NONE,
         }
+    }
+
+    /// Forgets the repeat record. Every `&mut self` method but `load`
+    /// calls this first: any of them may change what a repeated load
+    /// would see.
+    #[inline]
+    fn forget_repeat(&mut self) {
+        self.repeat.tid = None;
     }
 
     /// Attaches an instruction-stream observer. Replaces any previous
     /// sink; returns the replaced sink, if any. A witness scope's sink is
     /// not affected.
     pub fn set_trace_sink(&mut self, sink: Box<dyn TraceSink>) -> Option<Box<dyn TraceSink>> {
+        self.forget_repeat();
         self.trace.set(sink)
     }
 
     /// Detaches and returns the current instruction-stream observer.
     pub fn take_trace_sink(&mut self) -> Option<Box<dyn TraceSink>> {
+        self.forget_repeat();
         self.trace.take()
     }
 
@@ -264,6 +311,7 @@ impl Machine {
     ///
     /// Panics if the socket or core index is out of range.
     pub fn spawn_on(&mut self, socket: usize, core: usize) -> ThreadId {
+        self.forget_repeat();
         assert!(socket < 2, "machine has two sockets");
         assert!(core < self.cfg.cores_per_socket, "core index out of range");
         self.core_occupancy[socket][core] += 1;
@@ -300,12 +348,14 @@ impl Machine {
 
     /// Advances the thread's clock by `cycles` of pure compute.
     pub fn advance(&mut self, tid: ThreadId, cycles: Cycles) {
+        self.forget_repeat();
         self.threads[tid.0].clock.advance(cycles);
     }
 
     /// Moves the thread's clock forward to `t` if it is behind (used by
     /// workload drivers to align interleaved threads).
     pub fn advance_to(&mut self, tid: ThreadId, t: Cycles) {
+        self.forget_repeat();
         self.threads[tid.0].clock.advance_to(t);
     }
 
@@ -315,6 +365,7 @@ impl Machine {
     ///
     /// Panics if `align` is not a power of two.
     pub fn alloc_pm(&mut self, len: u64, align: u64) -> Addr {
+        self.forget_repeat();
         assert!(align.is_power_of_two(), "alignment must be a power of two");
         self.pm_next = (self.pm_next + align - 1) & !(align - 1);
         let a = Addr(self.pm_next);
@@ -328,6 +379,7 @@ impl Machine {
     ///
     /// Panics if `align` is not a power of two.
     pub fn alloc_dram(&mut self, len: u64, align: u64) -> Addr {
+        self.forget_repeat();
         assert!(align.is_power_of_two(), "alignment must be a power of two");
         self.dram_next = (self.dram_next + align - 1) & !(align - 1);
         let a = Addr(self.dram_next);
@@ -589,9 +641,100 @@ impl Machine {
 
     // ----- public memory operations -------------------------------------
 
+    /// Returns the L1 slot of `line` if `tid`'s next load of it is sure
+    /// to be a plain L1 hit, now or later, as long as no other `Machine`
+    /// call intervenes:
+    ///
+    /// - the line sits in the core's L1 and the core's prefetchers last
+    ///   saw it, so the hit suggests no prefetch
+    ///   ([`CacheSystem::repeat_slot`]);
+    /// - no in-flight fill of the line completes after `now`, so the hit
+    ///   waits for none (later loads have later clocks);
+    /// - no flush record can still trigger the sfence load bypass: there
+    ///   is none, the bypass is off, or its window closed before `now`.
+    fn plain_repeat_slot(&self, tid: ThreadId, line: Addr) -> Option<usize> {
+        let t = &self.threads[tid.0];
+        let now = t.clock.now();
+        let slot = self.caches[t.socket].repeat_slot(t.core, line)?;
+        if self
+            .inflight_fills
+            .get(line.0)
+            .is_some_and(|&done| done > now)
+        {
+            return None;
+        }
+        let bypass_open = self.cfg.sfence_load_bypass
+            && self
+                .recent_flush
+                .get(line.0)
+                .is_some_and(|&issued| now < issued + self.cfg.load_bypass_window);
+        (!bypass_open).then_some(slot)
+    }
+
+    /// Serves a load from the armed repeat record with exactly a plain L1
+    /// hit's effects: LRU stamp and hit count, prefetcher observation,
+    /// the `Load` event, L1 latency plus the hyperthread penalty, and the
+    /// demand bytes. Returns `false`, having done nothing, if the record
+    /// is not armed or its slot no longer holds the line.
+    fn load_repeat(&mut self, tid: ThreadId, addr: Addr, buf: &mut [u8]) -> bool {
+        let Some(slot) = self.repeat.slot else {
+            return false;
+        };
+        debug_assert_eq!(self.plain_repeat_slot(tid, self.repeat.line), Some(slot));
+        let (socket, core, now) = {
+            let t = &self.threads[tid.0];
+            (t.socket, t.core, t.clock.now())
+        };
+        if !self.caches[socket].repeat_l1_hit(core, self.repeat.line, slot) {
+            return false;
+        }
+        if self.tracing() {
+            self.emit(TraceEvent::Load {
+                tid,
+                addr,
+                len: buf.len() as u64,
+                region: self.region_of(addr),
+                at: now,
+            });
+        }
+        let latency = self.cfg.cache.l1_latency + self.ht_extra(socket, core);
+        self.threads[tid.0].clock.advance(latency);
+        self.demand.add_read(buf.len() as u64);
+        let off = addr.offset_in_cacheline();
+        buf.copy_from_slice(&self.repeat.bytes[off..off + buf.len()]);
+        if cfg!(debug_assertions) {
+            let mut check = [0u8; 64];
+            self.functional_read(addr, &mut check[..buf.len()]);
+            debug_assert_eq!(&check[..buf.len()], buf, "stale repeat record");
+        }
+        true
+    }
+
     /// Loads `buf.len()` bytes from `addr`.
+    ///
+    /// A one-line load that repeats the machine's previous call (the same
+    /// thread loading the same line) is served from the repeat record
+    /// when it is provably a plain L1 hit; the simulation is the same
+    /// either way.
     pub fn load(&mut self, tid: ThreadId, addr: Addr, buf: &mut [u8]) {
         let len = buf.len() as u64;
+        let line = addr.cacheline();
+        let one_line = len > 0 && addr.0 + len <= line.0 + CACHELINE_BYTES;
+        if one_line && self.repeat.tid == Some(tid) && self.repeat.line == line {
+            if self.repeat.slot.is_none() {
+                // The first repeat: arm the record if this load, and so
+                // every repeat after it, is sure to be a plain hit.
+                self.repeat.slot = self.plain_repeat_slot(tid, line);
+                if self.repeat.slot.is_some() {
+                    let mut bytes = [0u8; 64];
+                    self.functional_read(line, &mut bytes);
+                    self.repeat.bytes = bytes;
+                }
+            }
+            if self.load_repeat(tid, addr, buf) {
+                return;
+            }
+        }
         if self.tracing() {
             self.emit(TraceEvent::Load {
                 tid,
@@ -608,6 +751,13 @@ impl Machine {
         self.threads[tid.0].clock.advance(total);
         self.demand.add_read(len);
         self.functional_read(addr, buf);
+        if one_line {
+            self.repeat.tid = Some(tid);
+            self.repeat.line = line;
+            self.repeat.slot = None;
+        } else {
+            self.forget_repeat();
+        }
     }
 
     /// Loads two independent cachelines concurrently, modelling the
@@ -626,6 +776,7 @@ impl Machine {
         out_a: &mut [u8],
         out_b: &mut [u8],
     ) {
+        self.forget_repeat();
         let start = self.threads[tid.0].clock.now();
         if self.tracing() {
             self.emit(TraceEvent::Load {
@@ -675,6 +826,7 @@ impl Machine {
     /// Stores `data` at `addr` through the cache hierarchy
     /// (write-allocate: a miss fetches the line first).
     pub fn store(&mut self, tid: ThreadId, addr: Addr, data: &[u8]) {
+        self.forget_repeat();
         let len = data.len() as u64;
         if self.tracing() {
             self.emit(TraceEvent::Store {
@@ -709,6 +861,7 @@ impl Machine {
     ///
     /// Panics if `addr` is not cacheline-aligned.
     pub fn store_full_cacheline(&mut self, tid: ThreadId, addr: Addr, data: &[u8; 64]) {
+        self.forget_repeat();
         assert!(
             addr.is_cacheline_aligned(),
             "full-line store must be aligned"
@@ -746,6 +899,7 @@ impl Machine {
     /// memory controller. The write is posted — the thread does not wait
     /// for WPQ acceptance; a following fence does.
     pub fn nt_store(&mut self, tid: ThreadId, addr: Addr, data: &[u8]) {
+        self.forget_repeat();
         let len = data.len() as u64;
         if self.tracing() {
             self.emit(TraceEvent::NtStore {
@@ -835,6 +989,7 @@ impl Machine {
     ///
     /// Panics if `addr` is not cacheline-aligned.
     pub fn nt_store_run(&mut self, tid: ThreadId, addr: Addr, line: &[u8; 64], count: u64) {
+        self.forget_repeat();
         assert!(
             addr.is_cacheline_aligned(),
             "nt-store run must start aligned"
@@ -904,6 +1059,7 @@ impl Machine {
     ///
     /// Panics if `addr` is not cacheline-aligned.
     pub fn load_u64_run(&mut self, tid: ThreadId, addr: Addr, count: u64) {
+        self.forget_repeat();
         assert!(addr.is_cacheline_aligned(), "load run must start aligned");
         let tracing = self.tracing();
         for i in 0..count {
@@ -935,6 +1091,7 @@ impl Machine {
     ///
     /// Panics if `addr` is not cacheline-aligned.
     pub fn clflushopt_run(&mut self, tid: ThreadId, addr: Addr, count: u64) {
+        self.forget_repeat();
         assert!(addr.is_cacheline_aligned(), "flush run must start aligned");
         let (socket, core) = {
             let t = &self.threads[tid.0];
@@ -1006,6 +1163,7 @@ impl Machine {
     }
 
     fn flush_line(&mut self, tid: ThreadId, addr: Addr, mode: FlushMode, kind: FlushKind) {
+        self.forget_repeat();
         let cl = addr.cacheline();
         let (socket, core, now) = {
             let t = &self.threads[tid.0];
@@ -1070,6 +1228,7 @@ impl Machine {
     }
 
     fn fence(&mut self, tid: ThreadId, kind: FenceKind) {
+        self.forget_repeat();
         if self.tracing() {
             self.emit(TraceEvent::Fence {
                 tid,
@@ -1152,6 +1311,7 @@ impl Machine {
     /// Common locked-RMW prologue: alignment check and the functional
     /// read of the current value (timing is charged in the epilogue).
     fn locked_rmw_begin(&mut self, _tid: ThreadId, addr: Addr) -> u64 {
+        self.forget_repeat();
         assert!(
             addr.0.is_multiple_of(8),
             "locked RMW target must be u64-aligned"
@@ -1194,6 +1354,7 @@ impl Machine {
     /// Panics if `src` is not XPLine-aligned or `dst` is not
     /// cacheline-aligned.
     pub fn copy_xpline_streaming(&mut self, tid: ThreadId, src: Addr, dst: Addr) {
+        self.forget_repeat();
         assert!(src.is_xpline_aligned(), "source must be XPLine-aligned");
         assert!(dst.is_cacheline_aligned(), "destination must be aligned");
         if self.tracing() {
@@ -1273,6 +1434,7 @@ impl Machine {
     /// buffer *contents* warm. Used between experiment warm-up and
     /// measurement windows.
     pub fn reset_metrics(&mut self) {
+        self.forget_repeat();
         self.metrics_baseline = MachineMetrics::default();
         self.pm.reset_counters();
         self.dram.reset_all();
@@ -1299,6 +1461,7 @@ impl Machine {
     /// in which case they all survive. DRAM contents are lost. Thread
     /// clocks continue (the machine reboots in simulated time).
     pub fn power_fail(&mut self, policy: CrashPolicy) {
+        self.forget_repeat();
         let now = self
             .threads
             .iter()
@@ -1370,6 +1533,7 @@ impl Machine {
     /// counters) while *keeping functional memory contents*. Used between
     /// experiment data points.
     pub fn cold_reset(&mut self) {
+        self.forget_repeat();
         let cfg = self.cfg.clone();
         self.caches = (0..2)
             .map(|_| CacheSystem::new(cfg.cache.clone(), cfg.cores_per_socket, cfg.prefetch))
@@ -1413,6 +1577,7 @@ impl Machine {
     /// run that checkpoints and continues is identical to one that is
     /// killed here and resumed.
     pub fn checkpoint(&mut self) -> MachineSnapshot {
+        self.forget_repeat();
         let demand = self.demand;
         // Fold the live counters into the baseline so the metrics view is
         // continuous across the quiesce. Demand is kept out of the
@@ -1487,6 +1652,7 @@ impl Machine {
     /// hooks. Replaces any previously armed set; counters in
     /// [`Machine::fault_stats`] keep accumulating.
     pub fn arm_faults(&mut self, hooks: FaultHooks) {
+        self.forget_repeat();
         self.faults = hooks;
     }
 
@@ -1505,6 +1671,7 @@ impl Machine {
     /// ([`Machine::load_checked`]) report [`ReadError::Poisoned`] until
     /// the line is overwritten or scrubbed.
     pub fn poison_line(&mut self, addr: Addr) {
+        self.forget_repeat();
         let cl = addr.cacheline();
         self.pm.poison_line(cl);
         self.overlay.remove(cl.0);
@@ -1540,6 +1707,7 @@ impl Machine {
     /// is gone; the scrub restores the *addresses* to usability so
     /// software can rebuild from redundancy.
     pub fn scrub_pm(&mut self, start: Addr, len: u64) -> ScrubOutcome {
+        self.forget_repeat();
         let repaired = self.pm.scrub_range(start, len);
         for &cl in &repaired {
             self.overlay.remove(cl);
@@ -1605,6 +1773,7 @@ impl Machine {
     /// Directly writes the persistent image, bypassing all timing (test
     /// fixtures and recovery-scenario setup).
     pub fn poke_persistent(&mut self, addr: Addr, data: &[u8]) {
+        self.forget_repeat();
         self.persistent.write(addr, data);
     }
 

@@ -20,18 +20,22 @@
 //! (hash only the first K ops) and a binary search finds the first
 //! divergent op index in ~2·log2(ops) re-runs; a final `--dump` pair
 //! captures the rendered ops around that index for a two-sided diff.
+//! Such a probe child reports and exits as soon as its hasher has seen
+//! the last op its report depends on, instead of running the entry's
+//! remaining jobs.
 //! `--perturb K` plants a deliberate divergence at op K in the second
 //! child — the smoke mode uses it to prove the bisector actually works,
 //! not just that nothing diverges.
 
 use std::cell::Cell;
-use std::path::PathBuf;
+use std::io::Write;
+use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use harness::{derive_seed, write_atomic, JobCtx};
-use optane_core::trace::TraceSink;
+use optane_core::trace::{TraceEvent, TraceSink};
 use optane_core::{with_witness, Generation, MachineWitness};
 use simlint::witness::{
     bisect_first_divergence, compare_reports, fnv1a_bytes, render_diff, ChildReport,
@@ -48,11 +52,55 @@ use crate::registry::{self, Entry, REGISTRY};
 struct WitnessTap {
     hasher: SharedHasher,
     checkpoint_hash: Cell<u64>,
+    /// In a probe child (`--prefix`, `--dump`) run as its own process:
+    /// the job output directory to remove before the child exits early.
+    exit_when_done: Option<PathBuf>,
+}
+
+/// One machine's sink in the child: feeds the shared hasher and, when
+/// the tap says so, ends the process as soon as the hasher has seen every
+/// op its report depends on.
+struct ChildSink {
+    hasher: SharedHasher,
+    exit_when_done: Option<PathBuf>,
+}
+
+impl TraceSink for ChildSink {
+    fn on_event(&mut self, ev: &TraceEvent) {
+        let mut h = self.hasher.0.borrow_mut();
+        h.on_event(ev);
+        if let Some(out) = &self.exit_when_done {
+            if h.saw_every_needed_op() {
+                exit_with_probe_report(&h, out);
+            }
+        }
+    }
+}
+
+/// Prints a probe's report and exits 0 without running the rest of the
+/// entry's jobs. A probe's parent reads only the prefix hash and the dump,
+/// which no later op can change, so the state hashes are reported as 0.
+fn exit_with_probe_report(h: &OpStreamHasher, out: &Path) -> ! {
+    let _ = std::fs::remove_dir_all(out);
+    let report = ChildReport {
+        ops: h.ops(),
+        trace_hash: h.hash(),
+        dump: h.dumped().to_vec(),
+        ..ChildReport::default()
+    };
+    let mut stdout = std::io::stdout().lock();
+    let ok = stdout
+        .write_all(report.to_wire().as_bytes())
+        .and_then(|()| stdout.flush());
+    std::process::exit(if ok.is_ok() { 0 } else { 2 })
 }
 
 impl MachineWitness for WitnessTap {
     fn sink(&self) -> Box<dyn TraceSink> {
-        Box::new(self.hasher.clone())
+        Box::new(ChildSink {
+            hasher: self.hasher.clone(),
+            exit_when_done: self.exit_when_done.clone(),
+        })
     }
 
     fn fold_checkpoint(&self, bytes: &[u8]) {
@@ -68,6 +116,9 @@ struct ChildOpts {
     prefix: Option<u64>,
     dump: Option<(u64, u64)>,
     perturb: Option<u64>,
+    /// Exit the process once a probe's hasher has seen its last needed
+    /// op; set only when running as a `divergence-child` process.
+    exit_early: bool,
 }
 
 /// Runs the entry's own jobs, exactly as `repro NAME --gen both [--smoke]
@@ -87,16 +138,17 @@ fn run_child(opts: &ChildOpts) -> Result<ChildReport, String> {
     if let Some(k) = opts.perturb {
         hasher = hasher.with_perturb_at(k);
     }
-    let tap = Rc::new(WitnessTap {
-        hasher: SharedHasher::new(hasher),
-        checkpoint_hash: Cell::new(FNV_OFFSET),
-    });
     let out = std::env::temp_dir().join(format!(
         "divergence-{}-{}-{}",
         opts.entry.name,
         std::process::id(),
         RUNS.fetch_add(1, Ordering::Relaxed)
     ));
+    let tap = Rc::new(WitnessTap {
+        hasher: SharedHasher::new(hasher),
+        checkpoint_hash: Cell::new(FNV_OFFSET),
+        exit_when_done: opts.exit_early.then(|| out.clone()),
+    });
     std::fs::create_dir_all(&out).map_err(|e| format!("cannot create {}: {e}", out.display()))?;
     let scale = if opts.smoke {
         Scale::Smoke
@@ -200,6 +252,7 @@ pub fn child_main(args: &[String]) -> i32 {
         prefix,
         dump,
         perturb,
+        exit_early: true,
     };
     match run_child(&opts) {
         Ok(report) => {
@@ -463,6 +516,7 @@ mod tests {
             prefix,
             dump: None,
             perturb,
+            exit_early: false,
         };
         run_child(&opts).unwrap_or_else(|e| panic!("{name}: {e}"))
     }

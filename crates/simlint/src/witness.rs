@@ -265,6 +265,18 @@ impl OpStreamHasher {
     pub fn dumped(&self) -> &[(u64, String)] {
         &self.dumped
     }
+
+    /// Whether a later op can no longer change [`hash`](Self::hash) or
+    /// [`dumped`](Self::dumped): the hasher has a prefix limit or a dump
+    /// range, and has seen every op below the prefix limit and below the
+    /// dump range's end. Always `false` for a hasher over the full stream.
+    pub fn saw_every_needed_op(&self) -> bool {
+        let last = match (self.prefix_limit, self.dump_range) {
+            (None, None) => return false,
+            (k, range) => k.unwrap_or(0).max(range.map_or(0, |(_, b)| b)),
+        };
+        self.ops >= last
+    }
 }
 
 impl TraceSink for OpStreamHasher {
@@ -584,6 +596,28 @@ mod tests {
             at: 5,
         });
         assert_ne!(a.hash(), b.hash());
+    }
+
+    #[test]
+    fn probes_know_when_they_saw_every_needed_op() {
+        let mut full = OpStreamHasher::new();
+        let mut prefix = OpStreamHasher::new().with_prefix_limit(3);
+        let mut dump = OpStreamHasher::new().with_dump_range(1, 4);
+        let mut both = OpStreamHasher::new()
+            .with_prefix_limit(5)
+            .with_dump_range(0, 2);
+        let mut seen = Vec::new();
+        for i in 0..6 {
+            for h in [&mut full, &mut prefix, &mut dump, &mut both] {
+                h.on_event(&ev(i));
+            }
+            seen.push([&full, &prefix, &dump, &both].map(|h| h.saw_every_needed_op()));
+        }
+        let when = |i: usize| seen.iter().position(|s| s[i]).map(|n| n + 1);
+        assert_eq!(when(0), None, "a full-stream hasher always needs more");
+        assert_eq!(when(1), Some(3));
+        assert_eq!(when(2), Some(4));
+        assert_eq!(when(3), Some(5));
     }
 
     #[test]
