@@ -11,9 +11,14 @@
 //! - [`chase`]: the 256-byte-element circular linked list that drives the
 //!   latency study of §3.6 (Figure 8).
 //! - [`treiber`] / [`msqueue`]: lock-free persistent stack and queue with
-//!   Memento-style detectable recovery ([`detect`]), driven concurrently
-//!   by the deterministic executor in the e15 contention sweep and cut at
-//!   arbitrary interleaving points by the faultsim crash explorer.
+//!   Memento-style detectable recovery. Each supplies only its root
+//!   layout, its phases and its link logic; [`detect`] holds what both
+//!   share: the per-lane [`detect::Descriptor`] (a detectable checkpoint
+//!   and a detectable CAS), the node layout, the chain walk, and the one
+//!   [`Lane`] handle whose `step` and `recover` drive either structure.
+//!   The deterministic executor drives them concurrently in the e15
+//!   contention sweep, and the faultsim crash explorer cuts them at
+//!   arbitrary interleaving points.
 //!
 //! All structures are written against [`pmem::PmemEnv`], so they run both
 //! on the simulator (timed, crash-aware) and on plain host memory for
@@ -34,7 +39,7 @@ pub mod treiber;
 
 pub use cceh::{Cceh, InsertBreakdown};
 pub use chase::{ChaseList, WriteKind};
-pub use detect::{OpKind, RecoveryOutcome, EMPTY_RESULT};
+pub use detect::{Detectable, Lane, OpKind, OpResult, RecoveryOutcome, EMPTY_RESULT};
 pub use fastfair::{FastFair, UpdateStrategy};
-pub use msqueue::{MsQueue, MsQueueThread};
-pub use treiber::{OpResult, TreiberStack, TreiberThread};
+pub use msqueue::MsQueue;
+pub use treiber::TreiberStack;

@@ -15,32 +15,19 @@
 //! node — claimed nodes always form a contiguous prefix starting at the
 //! sentinel, which makes post-crash [`MsQueue::repair`] a simple
 //! advance-head-past-claims loop.
-//!
-//! Operations are small-step state machines (one phase per
-//! [`MsQueueThread::step`]) so the deterministic executor can interleave
-//! them and the crash explorer can cut them mid-phase.
+
+use std::ops::ControlFlow::{self, Break, Continue};
 
 use pmem::PmemEnv;
 use simbase::{Addr, CACHELINE_BYTES};
 
 use crate::detect::{
-    alloc_desc, op_tag, read_desc, DescView, OpKind, RecoveryOutcome, DESC_KIND, DESC_NODE,
-    DESC_RESULT, DESC_SEQ, DESC_STATE, EMPTY_RESULT, STATE_COMMITTED, STATE_STARTED,
+    live_values, Descriptor, Detectable, OpKind, OpResult, MAX_WALK, NODE_CLAIMED_BY, NODE_NEXT,
 };
-use crate::treiber::OpResult;
-
-/// Node layout: one cacheline (same as the Treiber stack's).
-const NODE_VALUE: u64 = 0;
-const NODE_NEXT: u64 = 8;
-const NODE_CLAIMED_BY: u64 = 16;
-const NODE_TAG: u64 = 24;
 
 /// Root layout: head and tail pointers share one cacheline.
 const ROOT_HEAD: u64 = 0;
 const ROOT_TAIL: u64 = 8;
-
-/// Walk bound against cycles in a corrupted image.
-const MAX_WALK: u64 = 1 << 16;
 
 /// The shared queue: a root cacheline (`head` at 0, `tail` at 8), both
 /// initially pointing at an empty sentinel node.
@@ -49,101 +36,10 @@ pub struct MsQueue {
     root: Addr,
 }
 
-impl MsQueue {
-    /// Allocates and persists an empty queue (root plus sentinel).
-    pub fn new<E: PmemEnv>(env: &mut E) -> Self {
-        let root = env.alloc(CACHELINE_BYTES, CACHELINE_BYTES);
-        let sentinel = env.alloc(CACHELINE_BYTES, CACHELINE_BYTES);
-        env.store_full_line(sentinel, &[0u8; 64]);
-        env.persist(sentinel, CACHELINE_BYTES);
-        let mut line = [0u8; 64];
-        line[ROOT_HEAD as usize..][..8].copy_from_slice(&sentinel.0.to_le_bytes());
-        line[ROOT_TAIL as usize..][..8].copy_from_slice(&sentinel.0.to_le_bytes());
-        env.store_full_line(root, &line);
-        env.persist(root, CACHELINE_BYTES);
-        MsQueue { root }
-    }
-
-    /// Reattaches to a queue whose root cacheline is at `root`.
-    pub fn from_root(root: Addr) -> Self {
-        MsQueue { root }
-    }
-
-    /// The root cacheline address.
-    pub fn root(&self) -> Addr {
-        self.root
-    }
-
-    /// Values currently live, front to back: behind the sentinel,
-    /// skipping claimed nodes.
-    pub fn live_values<E: PmemEnv>(&self, env: &mut E) -> Vec<u64> {
-        let mut out = Vec::new();
-        let sentinel = env.load_u64(self.root.add(ROOT_HEAD));
-        let mut cur = env.load_u64(Addr(sentinel).add(NODE_NEXT));
-        let mut steps = 0u64;
-        while cur != 0 && steps < MAX_WALK {
-            let node = Addr(cur);
-            if env.load_u64(node.add(NODE_CLAIMED_BY)) == 0 {
-                out.push(env.load_u64(node.add(NODE_VALUE)));
-            }
-            cur = env.load_u64(node.add(NODE_NEXT));
-            steps += 1;
-        }
-        out
-    }
-
-    /// Finds the node carrying `tag`, searching the whole chain from the
-    /// sentinel (inclusive — a dequeued node that became the sentinel
-    /// still counts as reachable).
-    pub fn find_tag<E: PmemEnv>(&self, env: &mut E, tag: u64) -> Option<Addr> {
-        let mut cur = env.load_u64(self.root.add(ROOT_HEAD));
-        let mut steps = 0u64;
-        while cur != 0 && steps < MAX_WALK {
-            let node = Addr(cur);
-            if env.load_u64(node.add(NODE_TAG)) == tag {
-                return Some(node);
-            }
-            cur = env.load_u64(node.add(NODE_NEXT));
-            steps += 1;
-        }
-        None
-    }
-
-    /// Post-crash structural repair, run single-threaded after per-lane
-    /// [`recover`] calls: advances `head` past the claimed prefix and
-    /// re-points a stale `tail` at the true last node.
-    pub fn repair<E: PmemEnv>(&self, env: &mut E) {
-        let mut steps = 0u64;
-        while steps < MAX_WALK {
-            let sentinel = env.load_u64(self.root.add(ROOT_HEAD));
-            let first = env.load_u64(Addr(sentinel).add(NODE_NEXT));
-            if first == 0 || env.load_u64(Addr(first).add(NODE_CLAIMED_BY)) == 0 {
-                break;
-            }
-            env.store_u64(self.root.add(ROOT_HEAD), first);
-            env.persist(self.root.add(ROOT_HEAD), 8);
-            steps += 1;
-        }
-        // Walk to the actual last node and persist a correct tail.
-        let mut last = env.load_u64(self.root.add(ROOT_HEAD));
-        let mut steps = 0u64;
-        loop {
-            let next = env.load_u64(Addr(last).add(NODE_NEXT));
-            if next == 0 || steps >= MAX_WALK {
-                break;
-            }
-            last = next;
-            steps += 1;
-        }
-        env.store_u64(self.root.add(ROOT_TAIL), last);
-        env.persist(self.root.add(ROOT_TAIL), 8);
-    }
-}
-
-/// Phase cursor of an in-flight operation.
+/// Phase cursor of an in-flight enqueue or dequeue: one variant per
+/// executor step.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Op {
-    Idle,
+pub enum Op {
     EnqInit {
         value: u64,
     },
@@ -183,197 +79,164 @@ enum Op {
     },
 }
 
-/// One thread's handle: its persistent descriptor plus the volatile
-/// phase cursor (lost on crash; recovery reconstructs the outcome).
-#[derive(Debug)]
-pub struct MsQueueThread {
-    desc: Addr,
-    lane: u64,
-    seq: u64,
-    op: Op,
-    skip_claim_persist: bool,
-}
+impl Detectable for MsQueue {
+    type Op = Op;
 
-impl MsQueueThread {
-    /// Registers lane `lane`, allocating its persistent descriptor.
-    pub fn new<E: PmemEnv>(env: &mut E, lane: u64) -> Self {
-        MsQueueThread {
-            desc: alloc_desc(env),
-            lane,
-            seq: 0,
-            op: Op::Idle,
-            skip_claim_persist: false,
-        }
+    /// Allocates and persists an empty queue (root plus sentinel).
+    fn new<E: PmemEnv>(env: &mut E) -> Self {
+        let root = env.alloc(CACHELINE_BYTES, CACHELINE_BYTES);
+        let sentinel = env.alloc(CACHELINE_BYTES, CACHELINE_BYTES);
+        env.store_full_line(sentinel, &[0u8; 64]);
+        env.persist(sentinel, CACHELINE_BYTES);
+        let mut line = [0u8; 64];
+        line[ROOT_HEAD as usize..][..8].copy_from_slice(&sentinel.0.to_le_bytes());
+        line[ROOT_TAIL as usize..][..8].copy_from_slice(&sentinel.0.to_le_bytes());
+        env.store_full_line(root, &line);
+        env.persist(root, CACHELINE_BYTES);
+        MsQueue { root }
     }
 
-    /// Reattaches to an existing descriptor after a crash.
-    pub fn reattach<E: PmemEnv>(env: &mut E, lane: u64, desc: Addr) -> Self {
-        let seq = env.load_u64(desc.add(DESC_SEQ)) + 1;
-        MsQueueThread {
-            desc,
-            lane,
-            seq,
-            op: Op::Idle,
-            skip_claim_persist: false,
-        }
+    /// Reattaches to a queue whose root cacheline is at `root`.
+    fn from_root(root: Addr) -> Self {
+        MsQueue { root }
     }
 
-    /// The persistent descriptor address (recovery input).
-    pub fn desc(&self) -> Addr {
-        self.desc
+    /// The root cacheline address.
+    fn root(&self) -> Addr {
+        self.root
     }
 
-    /// Seeded-mutant hook for oracle validation: skips the claim persist
-    /// before the head advance, breaking the flush-before-help rule. The
-    /// crash explorer must catch the resulting lost-value states;
-    /// shipping code never sets this.
-    pub fn set_skip_claim_persist(&mut self, on: bool) {
-        self.skip_claim_persist = on;
+    /// Values currently live, front to back: behind the sentinel,
+    /// skipping claimed nodes.
+    fn live_values<E: PmemEnv>(&self, env: &mut E) -> Vec<u64> {
+        let sentinel = env.load_u64(self.root.add(ROOT_HEAD));
+        let first = env.load_u64(Addr(sentinel).add(NODE_NEXT));
+        live_values(env, first)
     }
 
-    /// Begins an enqueue of `value`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an operation is already in flight, or if `value` is 0 or
-    /// [`EMPTY_RESULT`] (reserved encodings).
-    pub fn begin_enqueue(&mut self, value: u64) {
-        assert!(self.op == Op::Idle, "operation already in flight");
-        assert!(
-            value != 0 && value != EMPTY_RESULT,
-            "value 0 and u64::MAX are reserved"
-        );
-        self.seq += 1;
-        self.op = Op::EnqInit { value };
-    }
-
-    /// Begins a dequeue.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an operation is already in flight.
-    pub fn begin_dequeue(&mut self) {
-        assert!(self.op == Op::Idle, "operation already in flight");
-        self.seq += 1;
-        self.op = Op::DeqInit;
-    }
-
-    /// Whether an operation is in flight.
-    pub fn busy(&self) -> bool {
-        self.op != Op::Idle
-    }
-
-    /// Advances the in-flight operation by one phase. Returns the result
-    /// once the operation commits (the acknowledgement point), `None`
-    /// while more steps remain.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no operation is in flight.
-    pub fn step<E: PmemEnv>(&mut self, env: &mut E, queue: &MsQueue) -> Option<OpResult> {
-        let tag = op_tag(self.lane, self.seq);
-        let (next, result) = match self.op {
-            Op::Idle => panic!("no operation in flight"),
-            Op::EnqInit { value } => {
-                let node = env.alloc(CACHELINE_BYTES, CACHELINE_BYTES);
-                self.write_desc(env, OpKind::Insert, node.0);
-                (Op::EnqWriteNode { node, value }, None)
+    /// Post-crash structural repair, run single-threaded after per-lane
+    /// [`recover`](crate::Lane::recover) calls: advances `head` past the
+    /// claimed prefix and re-points a stale `tail` at the true last node.
+    fn repair<E: PmemEnv>(&self, env: &mut E) {
+        let mut steps = 0u64;
+        while steps < MAX_WALK {
+            let sentinel = env.load_u64(self.root.add(ROOT_HEAD));
+            let first = env.load_u64(Addr(sentinel).add(NODE_NEXT));
+            if first == 0 || env.load_u64(Addr(first).add(NODE_CLAIMED_BY)) == 0 {
+                break;
             }
+            env.store_u64(self.root.add(ROOT_HEAD), first);
+            env.persist(self.root.add(ROOT_HEAD), 8);
+            steps += 1;
+        }
+        // Walk to the actual last node and persist a correct tail.
+        let mut last = env.load_u64(self.root.add(ROOT_HEAD));
+        let mut steps = 0u64;
+        loop {
+            let next = env.load_u64(Addr(last).add(NODE_NEXT));
+            if next == 0 || steps >= MAX_WALK {
+                break;
+            }
+            last = next;
+            steps += 1;
+        }
+        env.store_u64(self.root.add(ROOT_TAIL), last);
+        env.persist(self.root.add(ROOT_TAIL), 8);
+    }
+
+    fn insert_op(value: u64) -> Op {
+        Op::EnqInit { value }
+    }
+
+    fn remove_op() -> Op {
+        Op::DeqInit
+    }
+
+    fn step<E: PmemEnv>(
+        &self,
+        env: &mut E,
+        desc: &Descriptor,
+        op: Op,
+    ) -> ControlFlow<OpResult, Op> {
+        let head = self.root.add(ROOT_HEAD);
+        let tail_slot = self.root.add(ROOT_TAIL);
+        Continue(match op {
+            Op::EnqInit { value } => Op::EnqWriteNode {
+                node: desc.start(env, OpKind::Insert),
+                value,
+            },
             Op::EnqWriteNode { node, value } => {
-                let mut line = [0u8; 64];
-                line[NODE_VALUE as usize..][..8].copy_from_slice(&value.to_le_bytes());
-                line[NODE_TAG as usize..][..8].copy_from_slice(&tag.to_le_bytes());
-                env.store_full_line(node, &line);
-                env.persist(node, CACHELINE_BYTES);
-                (Op::EnqLink { node }, None)
+                desc.write_node(env, node, value);
+                Op::EnqLink { node }
             }
             Op::EnqLink { node } => {
-                let tail = Addr(env.load_u64(queue.root.add(ROOT_TAIL)));
+                let tail = Addr(env.load_u64(tail_slot));
                 let next = env.load_u64(tail.add(NODE_NEXT));
                 if next != 0 {
                     // Tail is lagging: help. The link that made `next`
                     // reachable must be durable before the tail swing —
                     // persist it on the helper path too.
                     env.persist(tail.add(NODE_NEXT), 8);
-                    if env.cas_u64(queue.root.add(ROOT_TAIL), tail.0, next) == tail.0 {
-                        env.persist(queue.root.add(ROOT_TAIL), 8);
+                    if env.cas_u64(tail_slot, tail.0, next) == tail.0 {
+                        env.persist(tail_slot, 8);
                     }
-                    (Op::EnqLink { node }, None)
+                    Op::EnqLink { node }
                 } else if env.cas_u64(tail.add(NODE_NEXT), 0, node.0) == 0 {
-                    (Op::EnqPersistLink { node, prev: tail }, None)
+                    Op::EnqPersistLink { node, prev: tail }
                 } else {
-                    (Op::EnqLink { node }, None) // lost the race; retry
+                    Op::EnqLink { node } // lost the race; retry
                 }
             }
             Op::EnqPersistLink { node, prev } => {
                 // The link CAS is what makes the node reachable — persist
                 // it before the tail swing can be observed durably.
                 env.persist(prev.add(NODE_NEXT), 8);
-                (Op::EnqSwingTail { node, prev }, None)
+                Op::EnqSwingTail { node, prev }
             }
             Op::EnqSwingTail { node, prev } => {
-                if env.cas_u64(queue.root.add(ROOT_TAIL), prev.0, node.0) == prev.0 {
-                    env.persist(queue.root.add(ROOT_TAIL), 8);
+                if env.cas_u64(tail_slot, prev.0, node.0) == prev.0 {
+                    env.persist(tail_slot, 8);
                 }
-                (Op::EnqCommit, None)
+                Op::EnqCommit
             }
-            Op::EnqCommit => {
-                self.commit_desc(env, 0);
-                (Op::Idle, Some(OpResult::Pushed))
-            }
+            Op::EnqCommit => return Break(desc.commit(env, OpResult::Pushed)),
             Op::DeqInit => {
-                self.write_desc(env, OpKind::Remove, 0);
-                (Op::DeqFindHead, None)
+                desc.start(env, OpKind::Remove);
+                Op::DeqFindHead
             }
             Op::DeqFindHead => {
-                let sentinel = Addr(env.load_u64(queue.root.add(ROOT_HEAD)));
+                let sentinel = Addr(env.load_u64(head));
                 let first = env.load_u64(sentinel.add(NODE_NEXT));
                 if first == 0 {
-                    self.commit_desc(env, EMPTY_RESULT);
-                    (Op::Idle, Some(OpResult::Empty))
-                } else {
-                    let node = Addr(first);
-                    if env.load_u64(node.add(NODE_CLAIMED_BY)) != 0 {
-                        // Help advance head past a claimed front node.
-                        // Flush-before-help: its claim must be durable
-                        // before the advance can be.
-                        env.persist(node, CACHELINE_BYTES);
-                        if env.cas_u64(queue.root.add(ROOT_HEAD), sentinel.0, first) == sentinel.0 {
-                            env.persist(queue.root.add(ROOT_HEAD), 8);
-                        }
-                        (Op::DeqFindHead, None)
-                    } else {
-                        // Checkpoint the candidate before claiming, so
-                        // recovery can always attribute a durable claim.
-                        env.store_u64(self.desc.add(DESC_NODE), node.0);
-                        env.persist(self.desc.add(DESC_NODE), 8);
-                        (Op::DeqClaim { sentinel, node }, None)
+                    return Break(desc.commit(env, OpResult::Empty));
+                }
+                let node = Addr(first);
+                if env.load_u64(node.add(NODE_CLAIMED_BY)) != 0 {
+                    // Help advance head past a claimed front node.
+                    // Flush-before-help: its claim must be durable before
+                    // the advance can be.
+                    env.persist(node, CACHELINE_BYTES);
+                    if env.cas_u64(head, sentinel.0, first) == sentinel.0 {
+                        env.persist(head, 8);
                     }
+                    Op::DeqFindHead
+                } else {
+                    desc.checkpoint(env, node);
+                    Op::DeqClaim { sentinel, node }
                 }
             }
             Op::DeqClaim { sentinel, node } => {
-                if env.cas_u64(node.add(NODE_CLAIMED_BY), 0, tag) == 0 {
-                    (Op::DeqPersistClaim { sentinel, node }, None)
+                if desc.claim(env, node) {
+                    Op::DeqPersistClaim { sentinel, node }
                 } else {
-                    (Op::DeqFindHead, None) // lost the race
+                    Op::DeqFindHead // lost the race
                 }
             }
-            Op::DeqPersistClaim { sentinel, node } => {
-                if !self.skip_claim_persist {
-                    env.persist(node, CACHELINE_BYTES);
-                }
-                let value = env.load_u64(node.add(NODE_VALUE));
-                env.store_u64(self.desc.add(DESC_RESULT), value);
-                env.persist(self.desc.add(DESC_RESULT), 8);
-                (
-                    Op::DeqAdvanceHead {
-                        sentinel,
-                        node,
-                        value,
-                    },
-                    None,
-                )
-            }
+            Op::DeqPersistClaim { sentinel, node } => Op::DeqAdvanceHead {
+                sentinel,
+                node,
+                value: desc.persist_claim(env, node),
+            },
             Op::DeqAdvanceHead {
                 sentinel,
                 node,
@@ -381,166 +244,83 @@ impl MsQueueThread {
             } => {
                 // Single attempt: the claimed node becomes the new
                 // sentinel. If a helper already advanced, nothing to do.
-                if env.cas_u64(queue.root.add(ROOT_HEAD), sentinel.0, node.0) == sentinel.0 {
-                    env.persist(queue.root.add(ROOT_HEAD), 8);
+                if env.cas_u64(head, sentinel.0, node.0) == sentinel.0 {
+                    env.persist(head, 8);
                 }
-                (Op::DeqCommit { value }, None)
+                Op::DeqCommit { value }
             }
-            Op::DeqCommit { value } => {
-                self.commit_desc(env, value);
-                (Op::Idle, Some(OpResult::Popped(value)))
-            }
-        };
-        self.op = next;
-        result
+            Op::DeqCommit { value } => return Break(desc.commit(env, OpResult::Popped(value))),
+        })
     }
 
-    /// Runs a full enqueue to completion (sequential callers).
-    pub fn enqueue<E: PmemEnv>(&mut self, env: &mut E, queue: &MsQueue, value: u64) {
-        self.begin_enqueue(value);
-        while self.step(env, queue).is_none() {}
-    }
-
-    /// Runs a full dequeue to completion. Returns `None` when empty.
-    pub fn dequeue<E: PmemEnv>(&mut self, env: &mut E, queue: &MsQueue) -> Option<u64> {
-        self.begin_dequeue();
-        loop {
-            match self.step(env, queue) {
-                Some(OpResult::Popped(v)) => return Some(v),
-                Some(_) => return None,
-                None => {}
-            }
-        }
-    }
-
-    fn write_desc<E: PmemEnv>(&mut self, env: &mut E, kind: OpKind, node: u64) {
-        env.store_u64(self.desc.add(DESC_SEQ), self.seq);
-        env.store_u64(self.desc.add(DESC_KIND), kind.code());
-        env.store_u64(self.desc.add(DESC_NODE), node);
-        env.store_u64(self.desc.add(DESC_STATE), STATE_STARTED);
-        env.store_u64(self.desc.add(DESC_RESULT), 0);
-        env.persist(self.desc, CACHELINE_BYTES);
-    }
-
-    fn commit_desc<E: PmemEnv>(&mut self, env: &mut E, result: u64) {
-        env.store_u64(self.desc.add(DESC_RESULT), result);
-        env.store_u64(self.desc.add(DESC_STATE), STATE_COMMITTED);
-        env.persist(self.desc, CACHELINE_BYTES);
-    }
-}
-
-/// Post-crash recovery for one lane; the same contract as the stack's
-/// [`crate::treiber::recover`].
-pub fn recover<E: PmemEnv>(env: &mut E, queue: &MsQueue, lane: u64, desc: Addr) -> RecoveryOutcome {
-    let d: DescView = read_desc(env, desc);
-    let tag = op_tag(lane, d.seq);
-    match (d.kind, d.committed) {
-        (OpKind::None, _) => RecoveryOutcome {
-            seq: d.seq,
-            kind: OpKind::None,
-            applied: false,
-            value: None,
-        },
-        (kind, true) => RecoveryOutcome {
-            seq: d.seq,
-            kind,
-            applied: true,
-            value: Some(match kind {
-                OpKind::Insert => env.load_u64(d.node.add(NODE_VALUE)),
-                _ => d.result,
-            }),
-        },
-        (OpKind::Insert, false) => {
-            let node_durable = d.node.0 != 0 && env.load_u64(d.node.add(NODE_TAG)) == tag;
-            let claimed = node_durable && env.load_u64(d.node.add(NODE_CLAIMED_BY)) != 0;
-            let applied = claimed || queue.find_tag(env, tag).is_some();
-            RecoveryOutcome {
-                seq: d.seq,
-                kind: OpKind::Insert,
-                applied,
-                value: if node_durable {
-                    Some(env.load_u64(d.node.add(NODE_VALUE)))
-                } else {
-                    None
-                },
-            }
-        }
-        (OpKind::Remove, false) => {
-            let claimed = d.node.0 != 0 && env.load_u64(d.node.add(NODE_CLAIMED_BY)) == tag;
-            RecoveryOutcome {
-                seq: d.seq,
-                kind: OpKind::Remove,
-                applied: claimed,
-                value: if claimed {
-                    Some(env.load_u64(d.node.add(NODE_VALUE)))
-                } else {
-                    None
-                },
-            }
-        }
+    /// The sentinel, inclusive: a dequeued node that became the sentinel
+    /// still counts as reachable.
+    fn chain_start<E: PmemEnv>(&self, env: &mut E) -> u64 {
+        env.load_u64(self.root.add(ROOT_HEAD))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::detect::{op_tag, OpKind, NODE_VALUE};
+    use crate::Lane;
     use pmem::HostEnv;
 
     #[test]
     fn enqueue_dequeue_fifo_sequential() {
         let mut env = HostEnv::new();
         let q = MsQueue::new(&mut env);
-        let mut t = MsQueueThread::new(&mut env, 0);
+        let mut t = Lane::new(&mut env, 0);
         for v in 1..=5u64 {
-            t.enqueue(&mut env, &q, v);
+            t.insert(&mut env, &q, v);
         }
         assert_eq!(q.live_values(&mut env), vec![1, 2, 3, 4, 5]);
         for v in 1..=5u64 {
-            assert_eq!(t.dequeue(&mut env, &q), Some(v));
+            assert_eq!(t.remove(&mut env, &q), Some(v));
         }
-        assert_eq!(t.dequeue(&mut env, &q), None);
+        assert_eq!(t.remove(&mut env, &q), None);
     }
 
     #[test]
     fn interleaved_lanes_preserve_the_multiset() {
         let mut env = HostEnv::new();
         let q = MsQueue::new(&mut env);
-        let mut a = MsQueueThread::new(&mut env, 0);
-        let mut b = MsQueueThread::new(&mut env, 1);
-        a.begin_enqueue(10);
-        b.begin_enqueue(20);
-        loop {
-            let ra = if a.busy() { a.step(&mut env, &q) } else { None };
-            let rb = if b.busy() { b.step(&mut env, &q) } else { None };
-            if !a.busy() && !b.busy() {
-                let _ = (ra, rb);
-                break;
+        let mut a = Lane::new(&mut env, 0);
+        let mut b = Lane::new(&mut env, 1);
+        a.begin_insert(10);
+        b.begin_insert(20);
+        while a.busy() || b.busy() {
+            for t in [&mut a, &mut b] {
+                if t.busy() {
+                    t.step(&mut env, &q);
+                }
             }
         }
         let mut live = q.live_values(&mut env);
         live.sort_unstable();
         assert_eq!(live, vec![10, 20]);
         let mut got = vec![
-            a.dequeue(&mut env, &q).unwrap(),
-            b.dequeue(&mut env, &q).unwrap(),
+            a.remove(&mut env, &q).unwrap(),
+            b.remove(&mut env, &q).unwrap(),
         ];
         got.sort_unstable();
         assert_eq!(got, vec![10, 20]);
-        assert_eq!(a.dequeue(&mut env, &q), None);
+        assert_eq!(a.remove(&mut env, &q), None);
     }
 
     #[test]
     fn committed_ops_recover_as_applied() {
         let mut env = HostEnv::new();
         let q = MsQueue::new(&mut env);
-        let mut t = MsQueueThread::new(&mut env, 2);
-        t.enqueue(&mut env, &q, 55);
-        let r = recover(&mut env, &q, 2, t.desc());
+        let mut t = Lane::new(&mut env, 2);
+        t.insert(&mut env, &q, 55);
+        let r = t.recover(&mut env, &q);
         assert_eq!(r.kind, OpKind::Insert);
         assert!(r.applied);
         assert_eq!(r.value, Some(55));
-        assert_eq!(t.dequeue(&mut env, &q), Some(55));
-        let r = recover(&mut env, &q, 2, t.desc());
+        assert_eq!(t.remove(&mut env, &q), Some(55));
+        let r = t.recover(&mut env, &q);
         assert_eq!(r.kind, OpKind::Remove);
         assert!(r.applied);
         assert_eq!(r.value, Some(55));
@@ -550,9 +330,9 @@ mod tests {
     fn repair_advances_head_past_claimed_prefix_and_fixes_tail() {
         let mut env = HostEnv::new();
         let q = MsQueue::new(&mut env);
-        let mut t = MsQueueThread::new(&mut env, 0);
+        let mut t = Lane::new(&mut env, 0);
         for v in [1u64, 2, 3] {
-            t.enqueue(&mut env, &q, v);
+            t.insert(&mut env, &q, v);
         }
         // Claim the front node by hand (a dequeue cut before its head
         // advance) and leave the tail stale at the sentinel.

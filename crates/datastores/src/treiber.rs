@@ -3,11 +3,11 @@
 //! The classic lock-free stack — `push` and `pop` linearize on a CAS of
 //! the `top` pointer — made persistent and *detectable* in the Memento
 //! style ([`crate::detect`]): every thread owns a persistent operation
-//! descriptor, and `pop` claims its node by CASing a per-node `popped_by`
-//! slot with the operation's unique tag before unlinking it. After a
-//! crash at any point, per-thread recovery reads the descriptor and the
-//! tagged node and answers exactly-once whether the operation took
-//! effect and with which value.
+//! descriptor, and `pop` claims its node by CASing the node's claim slot
+//! with the operation's unique tag before unlinking it. After a crash at
+//! any point, per-thread recovery ([`Lane::recover`](crate::Lane::recover))
+//! reads the descriptor and the tagged node and answers exactly-once
+//! whether the operation took effect and with which value.
 //!
 //! # Persist discipline
 //!
@@ -17,35 +17,20 @@
 //!    link) is persisted before any CAS can make it reachable, so a
 //!    durably reachable node never has torn contents.
 //! 2. **Claim before unlink** (flush-before-help). A claimed node's
-//!    `popped_by` slot is persisted before *anyone* — the claimer or a
+//!    claim slot is persisted before *anyone* — the claimer or a
 //!    helping thread — unlinks it from `top`. Hence the invariant the
 //!    crash explorer checks: a node that is durably unreachable is
 //!    durably claimed; no value can vanish without a claim tag naming
 //!    the pop that took it.
-//!
-//! Operations are small-step state machines (one phase per
-//! [`TreiberThread::step`] call) so the deterministic executor can
-//! interleave them and the crash explorer can cut them mid-phase;
-//! [`TreiberThread::push`]/[`TreiberThread::pop`] drive the cursor to
-//! completion for sequential callers.
+
+use std::ops::ControlFlow::{self, Break, Continue};
 
 use pmem::PmemEnv;
 use simbase::{Addr, CACHELINE_BYTES};
 
 use crate::detect::{
-    alloc_desc, op_tag, read_desc, DescView, OpKind, RecoveryOutcome, DESC_KIND, DESC_NODE,
-    DESC_RESULT, DESC_SEQ, DESC_STATE, EMPTY_RESULT, STATE_COMMITTED, STATE_STARTED,
+    live_values, Descriptor, Detectable, OpKind, OpResult, MAX_WALK, NODE_CLAIMED_BY, NODE_NEXT,
 };
-
-/// Node layout: one cacheline.
-const NODE_VALUE: u64 = 0;
-const NODE_NEXT: u64 = 8;
-const NODE_POPPED_BY: u64 = 16;
-const NODE_TAG: u64 = 24;
-
-/// Walk bound: guards recovery walks against (impossible) cycles in a
-/// corrupted image; hitting it means the image is garbage, not a stack.
-const MAX_WALK: u64 = 1 << 16;
 
 /// The shared stack: one root cacheline holding `top` at offset 0
 /// (0 = empty).
@@ -54,20 +39,28 @@ pub struct TreiberStack {
     root: Addr,
 }
 
-/// One completed operation's result.
+/// Phase cursor of an in-flight push or pop: one variant per executor
+/// step.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum OpResult {
-    /// The push committed.
-    Pushed,
-    /// The pop committed with this value.
-    Popped(u64),
-    /// The pop committed against an empty stack.
-    Empty,
+pub enum Op {
+    PushInit { value: u64 },
+    PushWriteNode { node: Addr, value: u64 },
+    PushLink { node: Addr },
+    PushPersistTop,
+    PushCommit,
+    PopInit,
+    PopFindTop,
+    PopClaim { node: Addr },
+    PopPersistClaim { node: Addr },
+    PopUnlink { node: Addr, value: u64 },
+    PopCommit { value: u64 },
 }
 
-impl TreiberStack {
+impl Detectable for TreiberStack {
+    type Op = Op;
+
     /// Allocates and persists an empty stack.
-    pub fn new<E: PmemEnv>(env: &mut E) -> Self {
+    fn new<E: PmemEnv>(env: &mut E) -> Self {
         let root = env.alloc(CACHELINE_BYTES, CACHELINE_BYTES);
         env.store_full_line(root, &[0u8; 64]);
         env.persist(root, CACHELINE_BYTES);
@@ -76,52 +69,27 @@ impl TreiberStack {
 
     /// Reattaches to a stack whose root cacheline is at `root` (recovery
     /// after a crash; the address survives via the allocator watermarks).
-    pub fn from_root(root: Addr) -> Self {
+    fn from_root(root: Addr) -> Self {
         TreiberStack { root }
     }
 
     /// The root cacheline address.
-    pub fn root(&self) -> Addr {
+    fn root(&self) -> Addr {
         self.root
     }
 
     /// Values currently live: reachable from `top` and unclaimed, in
     /// top-to-bottom order. On a post-crash machine this reads the
     /// durable image.
-    pub fn live_values<E: PmemEnv>(&self, env: &mut E) -> Vec<u64> {
-        let mut out = Vec::new();
-        let mut cur = env.load_u64(self.root);
-        let mut steps = 0u64;
-        while cur != 0 && steps < MAX_WALK {
-            let node = Addr(cur);
-            if env.load_u64(node.add(NODE_POPPED_BY)) == 0 {
-                out.push(env.load_u64(node.add(NODE_VALUE)));
-            }
-            cur = env.load_u64(node.add(NODE_NEXT));
-            steps += 1;
-        }
-        out
-    }
-
-    /// Whether a node carrying `tag` is reachable from `top`.
-    pub fn find_tag<E: PmemEnv>(&self, env: &mut E, tag: u64) -> Option<Addr> {
-        let mut cur = env.load_u64(self.root);
-        let mut steps = 0u64;
-        while cur != 0 && steps < MAX_WALK {
-            let node = Addr(cur);
-            if env.load_u64(node.add(NODE_TAG)) == tag {
-                return Some(node);
-            }
-            cur = env.load_u64(node.add(NODE_NEXT));
-            steps += 1;
-        }
-        None
+    fn live_values<E: PmemEnv>(&self, env: &mut E) -> Vec<u64> {
+        let top = env.load_u64(self.root);
+        live_values(env, top)
     }
 
     /// Post-crash structural repair: splices every claimed node out of
     /// the chain and persists the fixed links. Run single-threaded after
-    /// per-thread [`recover`](TreiberThread::recover) calls.
-    pub fn repair<E: PmemEnv>(&self, env: &mut E) {
+    /// per-lane [`recover`](crate::Lane::recover) calls.
+    fn repair<E: PmemEnv>(&self, env: &mut E) {
         // prev = 0 means "the root's top slot".
         let mut prev = Addr(0);
         let mut cur = env.load_u64(self.root);
@@ -129,7 +97,7 @@ impl TreiberStack {
         while cur != 0 && steps < MAX_WALK {
             let node = Addr(cur);
             let next = env.load_u64(node.add(NODE_NEXT));
-            if env.load_u64(node.add(NODE_POPPED_BY)) != 0 {
+            if env.load_u64(node.add(NODE_CLAIMED_BY)) != 0 {
                 if prev.0 == 0 {
                     env.store_u64(self.root, next);
                     env.persist(self.root, 8);
@@ -144,394 +112,164 @@ impl TreiberStack {
             steps += 1;
         }
     }
-}
 
-/// Phase cursor of an in-flight operation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Op {
-    Idle,
-    PushInit { value: u64 },
-    PushWriteNode { node: Addr, value: u64 },
-    PushLink { node: Addr },
-    PushPersistTop,
-    PushCommit,
-    PopInit,
-    PopFindTop,
-    PopClaim { node: Addr },
-    PopPersistClaim { node: Addr },
-    PopUnlink { node: Addr, value: u64 },
-    PopCommit { value: u64 },
-}
-
-/// One thread's handle: its persistent descriptor plus the in-flight
-/// phase cursor (volatile — a crash loses the cursor, which is exactly
-/// what recovery is for).
-#[derive(Debug)]
-pub struct TreiberThread {
-    desc: Addr,
-    lane: u64,
-    seq: u64,
-    op: Op,
-    skip_claim_persist: bool,
-}
-
-impl TreiberThread {
-    /// Registers lane `lane`, allocating its persistent descriptor.
-    pub fn new<E: PmemEnv>(env: &mut E, lane: u64) -> Self {
-        TreiberThread {
-            desc: alloc_desc(env),
-            lane,
-            seq: 0,
-            op: Op::Idle,
-            skip_claim_persist: false,
-        }
+    fn insert_op(value: u64) -> Op {
+        Op::PushInit { value }
     }
 
-    /// Reattaches to an existing descriptor after a crash, resuming the
-    /// sequence numbering above anything the descriptor records.
-    pub fn reattach<E: PmemEnv>(env: &mut E, lane: u64, desc: Addr) -> Self {
-        let seq = env.load_u64(desc.add(DESC_SEQ)) + 1;
-        TreiberThread {
-            desc,
-            lane,
-            seq,
-            op: Op::Idle,
-            skip_claim_persist: false,
-        }
+    fn remove_op() -> Op {
+        Op::PopInit
     }
 
-    /// The persistent descriptor address (recovery input).
-    pub fn desc(&self) -> Addr {
-        self.desc
-    }
-
-    /// The tag the *current* (or most recently started) operation stamps.
-    pub fn current_tag(&self) -> u64 {
-        op_tag(self.lane, self.seq)
-    }
-
-    /// Seeded-mutant hook for oracle validation: when set, the claim
-    /// persist before unlink is skipped, breaking the unreachable-implies-
-    /// claimed invariant. The crash explorer must catch the resulting
-    /// lost-value states; shipping code never sets this.
-    pub fn set_skip_claim_persist(&mut self, on: bool) {
-        self.skip_claim_persist = on;
-    }
-
-    /// Begins a push of `value`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an operation is already in flight, or if `value` is 0 or
-    /// [`EMPTY_RESULT`] (reserved encodings).
-    pub fn begin_push(&mut self, value: u64) {
-        assert!(self.op == Op::Idle, "operation already in flight");
-        assert!(
-            value != 0 && value != EMPTY_RESULT,
-            "value 0 and u64::MAX are reserved"
-        );
-        self.seq += 1;
-        self.op = Op::PushInit { value };
-    }
-
-    /// Begins a pop.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an operation is already in flight.
-    pub fn begin_pop(&mut self) {
-        assert!(self.op == Op::Idle, "operation already in flight");
-        self.seq += 1;
-        self.op = Op::PopInit;
-    }
-
-    /// Whether an operation is in flight.
-    pub fn busy(&self) -> bool {
-        self.op != Op::Idle
-    }
-
-    /// Advances the in-flight operation by one phase. Returns the result
-    /// once the operation commits (the acknowledgement point), `None`
-    /// while more steps remain.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no operation is in flight.
-    pub fn step<E: PmemEnv>(&mut self, env: &mut E, stack: &TreiberStack) -> Option<OpResult> {
-        let tag = op_tag(self.lane, self.seq);
-        let (next, result) = match self.op {
-            Op::Idle => panic!("no operation in flight"),
-            Op::PushInit { value } => {
-                let node = env.alloc(CACHELINE_BYTES, CACHELINE_BYTES);
-                self.write_desc(env, OpKind::Insert, node.0);
-                (Op::PushWriteNode { node, value }, None)
-            }
+    fn step<E: PmemEnv>(
+        &self,
+        env: &mut E,
+        desc: &Descriptor,
+        op: Op,
+    ) -> ControlFlow<OpResult, Op> {
+        Continue(match op {
+            Op::PushInit { value } => Op::PushWriteNode {
+                node: desc.start(env, OpKind::Insert),
+                value,
+            },
             Op::PushWriteNode { node, value } => {
-                let mut line = [0u8; 64];
-                line[NODE_VALUE as usize..][..8].copy_from_slice(&value.to_le_bytes());
-                line[NODE_TAG as usize..][..8].copy_from_slice(&tag.to_le_bytes());
-                env.store_full_line(node, &line);
-                env.persist(node, CACHELINE_BYTES);
-                (Op::PushLink { node }, None)
+                desc.write_node(env, node, value);
+                Op::PushLink { node }
             }
             Op::PushLink { node } => {
-                let top = env.load_u64(stack.root);
+                let top = env.load_u64(self.root);
                 env.store_u64(node.add(NODE_NEXT), top);
                 env.persist(node.add(NODE_NEXT), 8);
-                if env.cas_u64(stack.root, top, node.0) == top {
-                    (Op::PushPersistTop, None)
+                if env.cas_u64(self.root, top, node.0) == top {
+                    Op::PushPersistTop
                 } else {
-                    (Op::PushLink { node }, None) // retry next step
+                    Op::PushLink { node } // retry next step
                 }
             }
             Op::PushPersistTop => {
-                env.persist(stack.root, 8);
-                (Op::PushCommit, None)
+                env.persist(self.root, 8);
+                Op::PushCommit
             }
-            Op::PushCommit => {
-                self.commit_desc(env, 0);
-                (Op::Idle, Some(OpResult::Pushed))
-            }
+            Op::PushCommit => return Break(desc.commit(env, OpResult::Pushed)),
             Op::PopInit => {
-                self.write_desc(env, OpKind::Remove, 0);
-                (Op::PopFindTop, None)
+                desc.start(env, OpKind::Remove);
+                Op::PopFindTop
             }
             Op::PopFindTop => {
-                let top = env.load_u64(stack.root);
+                let top = env.load_u64(self.root);
                 if top == 0 {
-                    self.commit_desc(env, EMPTY_RESULT);
-                    (Op::Idle, Some(OpResult::Empty))
-                } else {
-                    let node = Addr(top);
-                    if env.load_u64(node.add(NODE_POPPED_BY)) != 0 {
-                        // Help unlink a claimed top. Flush-before-help:
-                        // the claim must be durable before the unlink can
-                        // be, or a crash between them loses the value.
-                        env.persist(node, CACHELINE_BYTES);
-                        let next = env.load_u64(node.add(NODE_NEXT));
-                        if env.cas_u64(stack.root, top, next) == top {
-                            env.persist(stack.root, 8);
-                        }
-                        (Op::PopFindTop, None)
-                    } else {
-                        // Checkpoint the candidate before claiming, so
-                        // recovery always knows which node this op may
-                        // have tagged — even if a helper unlinks it
-                        // before the claim is recorded anywhere else.
-                        env.store_u64(self.desc.add(DESC_NODE), node.0);
-                        env.persist(self.desc.add(DESC_NODE), 8);
-                        (Op::PopClaim { node }, None)
+                    return Break(desc.commit(env, OpResult::Empty));
+                }
+                let node = Addr(top);
+                if env.load_u64(node.add(NODE_CLAIMED_BY)) != 0 {
+                    // Help unlink a claimed top. Flush-before-help: the
+                    // claim must be durable before the unlink can be, or
+                    // a crash between them loses the value.
+                    env.persist(node, CACHELINE_BYTES);
+                    let next = env.load_u64(node.add(NODE_NEXT));
+                    if env.cas_u64(self.root, top, next) == top {
+                        env.persist(self.root, 8);
                     }
+                    Op::PopFindTop
+                } else {
+                    desc.checkpoint(env, node);
+                    Op::PopClaim { node }
                 }
             }
             Op::PopClaim { node } => {
-                if env.cas_u64(node.add(NODE_POPPED_BY), 0, tag) == 0 {
-                    (Op::PopPersistClaim { node }, None)
+                if desc.claim(env, node) {
+                    Op::PopPersistClaim { node }
                 } else {
-                    (Op::PopFindTop, None) // lost the race; find a new top
+                    Op::PopFindTop // lost the race; find a new top
                 }
             }
-            Op::PopPersistClaim { node } => {
-                if !self.skip_claim_persist {
-                    env.persist(node, CACHELINE_BYTES);
-                }
-                let value = env.load_u64(node.add(NODE_VALUE));
-                env.store_u64(self.desc.add(DESC_RESULT), value);
-                env.persist(self.desc.add(DESC_RESULT), 8);
-                (Op::PopUnlink { node, value }, None)
-            }
+            Op::PopPersistClaim { node } => Op::PopUnlink {
+                node,
+                value: desc.persist_claim(env, node),
+            },
             Op::PopUnlink { node, value } => {
                 // Single unlink attempt: if the node got buried under
                 // newer pushes, leave it — claimed nodes are spliced out
                 // lazily by helpers and by repair.
-                let top = env.load_u64(stack.root);
+                let top = env.load_u64(self.root);
                 if top == node.0 {
                     let next = env.load_u64(node.add(NODE_NEXT));
-                    if env.cas_u64(stack.root, top, next) == top {
-                        env.persist(stack.root, 8);
+                    if env.cas_u64(self.root, top, next) == top {
+                        env.persist(self.root, 8);
                     }
                 }
-                (Op::PopCommit { value }, None)
+                Op::PopCommit { value }
             }
-            Op::PopCommit { value } => {
-                self.commit_desc(env, value);
-                (Op::Idle, Some(OpResult::Popped(value)))
-            }
-        };
-        self.op = next;
-        result
+            Op::PopCommit { value } => return Break(desc.commit(env, OpResult::Popped(value))),
+        })
     }
 
-    /// Runs a full push to completion (sequential callers).
-    pub fn push<E: PmemEnv>(&mut self, env: &mut E, stack: &TreiberStack, value: u64) {
-        self.begin_push(value);
-        while self.step(env, stack).is_none() {}
-    }
-
-    /// Runs a full pop to completion. Returns `None` when empty.
-    pub fn pop<E: PmemEnv>(&mut self, env: &mut E, stack: &TreiberStack) -> Option<u64> {
-        self.begin_pop();
-        loop {
-            match self.step(env, stack) {
-                Some(OpResult::Popped(v)) => return Some(v),
-                Some(_) => return None,
-                None => {}
-            }
-        }
-    }
-
-    /// Starts a fresh descriptor record for this operation: seq, kind,
-    /// target node, state=started, result cleared — one persisted line.
-    fn write_desc<E: PmemEnv>(&mut self, env: &mut E, kind: OpKind, node: u64) {
-        env.store_u64(self.desc.add(DESC_SEQ), self.seq);
-        env.store_u64(self.desc.add(DESC_KIND), kind.code());
-        env.store_u64(self.desc.add(DESC_NODE), node);
-        env.store_u64(self.desc.add(DESC_STATE), STATE_STARTED);
-        env.store_u64(self.desc.add(DESC_RESULT), 0);
-        env.persist(self.desc, CACHELINE_BYTES);
-    }
-
-    /// Durably commits the operation's result.
-    fn commit_desc<E: PmemEnv>(&mut self, env: &mut E, result: u64) {
-        env.store_u64(self.desc.add(DESC_RESULT), result);
-        env.store_u64(self.desc.add(DESC_STATE), STATE_COMMITTED);
-        env.persist(self.desc, CACHELINE_BYTES);
-    }
-}
-
-/// Post-crash recovery for one lane: reads the durable descriptor and
-/// answers whether the last operation took effect and with which value.
-///
-/// - committed descriptor → applied, result as recorded;
-/// - started push → applied iff the tagged node is durably reachable, or
-///   durably claimed by a pop (claims only land on linked nodes, so a
-///   durable claim proves the push took effect and a pop consumed it);
-/// - started pop → applied iff the checkpointed candidate node carries
-///   this operation's claim tag.
-pub fn recover<E: PmemEnv>(
-    env: &mut E,
-    stack: &TreiberStack,
-    lane: u64,
-    desc: Addr,
-) -> RecoveryOutcome {
-    let d: DescView = read_desc(env, desc);
-    let tag = op_tag(lane, d.seq);
-    match (d.kind, d.committed) {
-        (OpKind::None, _) => RecoveryOutcome {
-            seq: d.seq,
-            kind: OpKind::None,
-            applied: false,
-            value: None,
-        },
-        (kind, true) => RecoveryOutcome {
-            seq: d.seq,
-            kind,
-            applied: true,
-            value: Some(match kind {
-                // A committed push's value lives in its (durable) node.
-                OpKind::Insert => env.load_u64(d.node.add(NODE_VALUE)),
-                _ => d.result,
-            }),
-        },
-        (OpKind::Insert, false) => {
-            let node_durable = d.node.0 != 0 && env.load_u64(d.node.add(NODE_TAG)) == tag;
-            let claimed = node_durable && env.load_u64(d.node.add(NODE_POPPED_BY)) != 0;
-            let applied = claimed || stack.find_tag(env, tag).is_some();
-            RecoveryOutcome {
-                seq: d.seq,
-                kind: OpKind::Insert,
-                applied,
-                value: if node_durable {
-                    Some(env.load_u64(d.node.add(NODE_VALUE)))
-                } else {
-                    None
-                },
-            }
-        }
-        (OpKind::Remove, false) => {
-            let claimed = d.node.0 != 0 && env.load_u64(d.node.add(NODE_POPPED_BY)) == tag;
-            RecoveryOutcome {
-                seq: d.seq,
-                kind: OpKind::Remove,
-                applied: claimed,
-                value: if claimed {
-                    Some(env.load_u64(d.node.add(NODE_VALUE)))
-                } else {
-                    None
-                },
-            }
-        }
+    fn chain_start<E: PmemEnv>(&self, env: &mut E) -> u64 {
+        env.load_u64(self.root)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::detect::{op_tag, OpKind};
+    use crate::Lane;
     use pmem::HostEnv;
 
     #[test]
     fn push_pop_lifo_sequential() {
         let mut env = HostEnv::new();
         let stack = TreiberStack::new(&mut env);
-        let mut t = TreiberThread::new(&mut env, 0);
+        let mut t = Lane::new(&mut env, 0);
         for v in 1..=5u64 {
-            t.push(&mut env, &stack, v);
+            t.insert(&mut env, &stack, v);
         }
         for v in (1..=5u64).rev() {
-            assert_eq!(t.pop(&mut env, &stack), Some(v));
+            assert_eq!(t.remove(&mut env, &stack), Some(v));
         }
-        assert_eq!(t.pop(&mut env, &stack), None);
+        assert_eq!(t.remove(&mut env, &stack), None);
     }
 
     #[test]
     fn interleaved_lanes_preserve_the_multiset() {
         let mut env = HostEnv::new();
         let stack = TreiberStack::new(&mut env);
-        let mut a = TreiberThread::new(&mut env, 0);
-        let mut b = TreiberThread::new(&mut env, 1);
-        a.begin_push(10);
-        b.begin_push(20);
+        let mut a = Lane::new(&mut env, 0);
+        let mut b = Lane::new(&mut env, 1);
+        a.begin_insert(10);
+        b.begin_insert(20);
         // Interleave phase-by-phase.
-        loop {
-            let ra = if a.busy() {
-                a.step(&mut env, &stack)
-            } else {
-                None
-            };
-            let rb = if b.busy() {
-                b.step(&mut env, &stack)
-            } else {
-                None
-            };
-            if !a.busy() && !b.busy() {
-                let _ = (ra, rb);
-                break;
+        while a.busy() || b.busy() {
+            for t in [&mut a, &mut b] {
+                if t.busy() {
+                    t.step(&mut env, &stack);
+                }
             }
         }
         let mut live = stack.live_values(&mut env);
         live.sort_unstable();
         assert_eq!(live, vec![10, 20]);
         let mut popped = vec![
-            a.pop(&mut env, &stack).unwrap(),
-            b.pop(&mut env, &stack).unwrap(),
+            a.remove(&mut env, &stack).unwrap(),
+            b.remove(&mut env, &stack).unwrap(),
         ];
         popped.sort_unstable();
         assert_eq!(popped, vec![10, 20]);
-        assert_eq!(a.pop(&mut env, &stack), None);
+        assert_eq!(a.remove(&mut env, &stack), None);
     }
 
     #[test]
     fn committed_ops_recover_as_applied() {
         let mut env = HostEnv::new();
         let stack = TreiberStack::new(&mut env);
-        let mut t = TreiberThread::new(&mut env, 3);
-        t.push(&mut env, &stack, 77);
-        let r = recover(&mut env, &stack, 3, t.desc());
+        let mut t = Lane::new(&mut env, 3);
+        t.insert(&mut env, &stack, 77);
+        let r = t.recover(&mut env, &stack);
         assert_eq!(r.kind, OpKind::Insert);
         assert!(r.applied);
         assert_eq!(r.value, Some(77));
-        assert_eq!(t.pop(&mut env, &stack), Some(77));
-        let r = recover(&mut env, &stack, 3, t.desc());
+        assert_eq!(t.remove(&mut env, &stack), Some(77));
+        let r = t.recover(&mut env, &stack);
         assert_eq!(r.kind, OpKind::Remove);
         assert!(r.applied);
         assert_eq!(r.value, Some(77));
@@ -541,15 +279,15 @@ mod tests {
     fn repair_splices_out_claimed_nodes() {
         let mut env = HostEnv::new();
         let stack = TreiberStack::new(&mut env);
-        let mut t = TreiberThread::new(&mut env, 0);
+        let mut t = Lane::new(&mut env, 0);
         for v in [1u64, 2, 3] {
-            t.push(&mut env, &stack, v);
+            t.insert(&mut env, &stack, v);
         }
         // Claim the middle node by hand (simulating a pop cut before its
         // unlink) and repair.
         let top = Addr(env.load_u64(stack.root()));
         let mid = Addr(env.load_u64(top.add(NODE_NEXT)));
-        env.store_u64(mid.add(NODE_POPPED_BY), op_tag(9, 9));
+        env.store_u64(mid.add(NODE_CLAIMED_BY), op_tag(9, 9));
         stack.repair(&mut env);
         assert_eq!(stack.live_values(&mut env), vec![3, 1]);
     }

@@ -17,12 +17,8 @@
 use cpucache::PrefetchConfig;
 use faultsim::{sweep_crash_points, CutRun, ExplorerConfig, InterleaveConfig, StateVerdict};
 use optane_core::{Interleaver, Machine, MachineConfig, SchedPolicy, Step, ThreadId};
-use pmds::detect::RecoveryOutcome;
-use pmds::{
-    msqueue, treiber, MsQueue, MsQueueThread, OpResult, TreiberStack, TreiberThread, EMPTY_RESULT,
-};
+use pmds::{Detectable, Lane, MsQueue, OpResult, RecoveryOutcome, TreiberStack, EMPTY_RESULT};
 use pmem::SimEnv;
-use simbase::Addr;
 
 /// One scripted operation.
 #[derive(Debug, Clone, Copy)]
@@ -172,9 +168,10 @@ impl Account {
     }
 }
 
-/// Replays the stack workload under `policy`, cut at `budget` executor
-/// steps, returning the crash image and the detectability oracle.
-fn replay_stack(
+/// Replays the workload on a fresh `S` under `policy`, cut at `budget`
+/// executor steps, returning the crash image and the detectability
+/// oracle.
+fn replay<S: Detectable>(
     budget: u64,
     policy: SchedPolicy,
     scripts: Vec<Vec<Planned>>,
@@ -183,19 +180,18 @@ fn replay_stack(
     let lanes = scripts.len();
     let mut m = Machine::new(MachineConfig::g1(PrefetchConfig::none(), 1));
     let tids: Vec<ThreadId> = (0..lanes).map(|_| m.spawn(0)).collect();
-    let (stack, mut threads) = {
+    let (s, mut threads) = {
         let mut env = SimEnv::new(&mut m, tids[0]);
-        let stack = TreiberStack::new(&mut env);
-        let threads: Vec<TreiberThread> = (0..lanes)
+        let s = S::new(&mut env);
+        let threads: Vec<Lane<S>> = (0..lanes)
             .map(|l| {
-                let mut t = TreiberThread::new(&mut env, l as u64);
+                let mut t = Lane::new(&mut env, l as u64);
                 t.set_skip_claim_persist(mutant);
                 t
             })
             .collect();
-        (stack, threads)
+        (s, threads)
     };
-    let descs: Vec<Addr> = threads.iter().map(TreiberThread::desc).collect();
     let mut acct = Account::new(scripts);
     let report = Interleaver::new(policy).run_steps(
         &mut m,
@@ -203,13 +199,13 @@ fn replay_stack(
         &mut |mm: &mut Machine, tid, lane: usize| {
             if !threads[lane].busy() {
                 match acct.next_op(lane) {
-                    Some(Planned::Insert(v)) => threads[lane].begin_push(v),
-                    Some(Planned::Remove) => threads[lane].begin_pop(),
+                    Some(Planned::Insert(v)) => threads[lane].begin_insert(v),
+                    Some(Planned::Remove) => threads[lane].begin_remove(),
                     None => return Step::Done,
                 }
             }
             let mut env = SimEnv::new(mm, tid);
-            if let Some(res) = threads[lane].step(&mut env, &stack) {
+            if let Some(res) = threads[lane].step(&mut env, &s) {
                 acct.ack(lane, res);
             }
             Step::Ran
@@ -217,81 +213,18 @@ fn replay_stack(
         budget,
     );
     let image = m.capture_crash_image();
-    let root = stack.root();
+    let root = s.root();
     CutRun {
         image,
         steps_taken: report.total_steps,
         oracle: move |pm: &mut Machine, _mask: &[bool]| {
             let t = pm.spawn(0);
             let mut env = SimEnv::new(pm, t);
-            let stack = TreiberStack::from_root(root);
-            let recs: Vec<RecoveryOutcome> = (0..lanes)
-                .map(|l| treiber::recover(&mut env, &stack, l as u64, descs[l]))
-                .collect();
-            stack.repair(&mut env);
-            let live = stack.live_values(&mut env);
-            acct.verdict(&recs, live)
-        },
-    }
-}
-
-/// The queue twin of [`replay_stack`].
-fn replay_queue(
-    budget: u64,
-    policy: SchedPolicy,
-    scripts: Vec<Vec<Planned>>,
-    mutant: bool,
-) -> CutRun<impl FnMut(&mut Machine, &[bool]) -> StateVerdict> {
-    let lanes = scripts.len();
-    let mut m = Machine::new(MachineConfig::g1(PrefetchConfig::none(), 1));
-    let tids: Vec<ThreadId> = (0..lanes).map(|_| m.spawn(0)).collect();
-    let (queue, mut threads) = {
-        let mut env = SimEnv::new(&mut m, tids[0]);
-        let queue = MsQueue::new(&mut env);
-        let threads: Vec<MsQueueThread> = (0..lanes)
-            .map(|l| {
-                let mut t = MsQueueThread::new(&mut env, l as u64);
-                t.set_skip_claim_persist(mutant);
-                t
-            })
-            .collect();
-        (queue, threads)
-    };
-    let descs: Vec<Addr> = threads.iter().map(MsQueueThread::desc).collect();
-    let mut acct = Account::new(scripts);
-    let report = Interleaver::new(policy).run_steps(
-        &mut m,
-        &tids,
-        &mut |mm: &mut Machine, tid, lane: usize| {
-            if !threads[lane].busy() {
-                match acct.next_op(lane) {
-                    Some(Planned::Insert(v)) => threads[lane].begin_enqueue(v),
-                    Some(Planned::Remove) => threads[lane].begin_dequeue(),
-                    None => return Step::Done,
-                }
-            }
-            let mut env = SimEnv::new(mm, tid);
-            if let Some(res) = threads[lane].step(&mut env, &queue) {
-                acct.ack(lane, res);
-            }
-            Step::Ran
-        },
-        budget,
-    );
-    let image = m.capture_crash_image();
-    let root = queue.root();
-    CutRun {
-        image,
-        steps_taken: report.total_steps,
-        oracle: move |pm: &mut Machine, _mask: &[bool]| {
-            let t = pm.spawn(0);
-            let mut env = SimEnv::new(pm, t);
-            let queue = MsQueue::from_root(root);
-            let recs: Vec<RecoveryOutcome> = (0..lanes)
-                .map(|l| msqueue::recover(&mut env, &queue, l as u64, descs[l]))
-                .collect();
-            queue.repair(&mut env);
-            let live = queue.live_values(&mut env);
+            let s = S::from_root(root);
+            let recs: Vec<RecoveryOutcome> =
+                threads.iter().map(|l| l.recover(&mut env, &s)).collect();
+            s.repair(&mut env);
+            let live = s.live_values(&mut env);
             acct.verdict(&recs, live)
         },
     }
@@ -300,7 +233,7 @@ fn replay_queue(
 #[test]
 fn stack_recovers_at_sampled_interleaving_points_round_robin() {
     let sweep = sweep_crash_points("treiber-rr", &sampled_cfg(), |k| {
-        replay_stack(k, SchedPolicy::RoundRobin, mixed_scripts(), false)
+        replay::<TreiberStack>(k, SchedPolicy::RoundRobin, mixed_scripts(), false)
     });
     assert!(sweep.total_steps > 0);
     assert!(sweep.all_states_ok(), "{}", sweep.to_json());
@@ -309,7 +242,7 @@ fn stack_recovers_at_sampled_interleaving_points_round_robin() {
 #[test]
 fn stack_recovers_under_a_seeded_random_schedule() {
     let sweep = sweep_crash_points("treiber-sr", &sampled_cfg(), |k| {
-        replay_stack(
+        replay::<TreiberStack>(
             k,
             SchedPolicy::SeededRandom { seed: 0xE15 },
             mixed_scripts(),
@@ -322,7 +255,7 @@ fn stack_recovers_under_a_seeded_random_schedule() {
 #[test]
 fn queue_recovers_at_sampled_interleaving_points_round_robin() {
     let sweep = sweep_crash_points("msqueue-rr", &sampled_cfg(), |k| {
-        replay_queue(k, SchedPolicy::RoundRobin, mixed_scripts(), false)
+        replay::<MsQueue>(k, SchedPolicy::RoundRobin, mixed_scripts(), false)
     });
     assert!(sweep.total_steps > 0);
     assert!(sweep.all_states_ok(), "{}", sweep.to_json());
@@ -331,7 +264,7 @@ fn queue_recovers_at_sampled_interleaving_points_round_robin() {
 #[test]
 fn queue_recovers_under_a_seeded_random_schedule() {
     let sweep = sweep_crash_points("msqueue-sr", &sampled_cfg(), |k| {
-        replay_queue(
+        replay::<MsQueue>(
             k,
             SchedPolicy::SeededRandom { seed: 0xE15 },
             mixed_scripts(),
@@ -345,13 +278,13 @@ fn queue_recovers_under_a_seeded_random_schedule() {
 fn stack_mutant_skipping_the_claim_persist_is_caught() {
     // Shipped code is clean over the same dense sweep…
     let clean = sweep_crash_points("treiber-dense", &dense_cfg(), |k| {
-        replay_stack(k, SchedPolicy::RoundRobin, push_pop_script(), false)
+        replay::<TreiberStack>(k, SchedPolicy::RoundRobin, push_pop_script(), false)
     });
     assert!(clean.all_states_ok(), "{}", clean.to_json());
     // …and the mutant must be caught: some cut leaves the unlink durable
     // with the claim lost, so the popped value vanishes unattributed.
     let broken = sweep_crash_points("treiber-mutant", &dense_cfg(), |k| {
-        replay_stack(k, SchedPolicy::RoundRobin, push_pop_script(), true)
+        replay::<TreiberStack>(k, SchedPolicy::RoundRobin, push_pop_script(), true)
     });
     assert!(
         !broken.all_states_ok(),
@@ -368,11 +301,11 @@ fn stack_mutant_skipping_the_claim_persist_is_caught() {
 #[test]
 fn queue_mutant_skipping_the_claim_persist_is_caught() {
     let clean = sweep_crash_points("msqueue-dense", &dense_cfg(), |k| {
-        replay_queue(k, SchedPolicy::RoundRobin, push_pop_script(), false)
+        replay::<MsQueue>(k, SchedPolicy::RoundRobin, push_pop_script(), false)
     });
     assert!(clean.all_states_ok(), "{}", clean.to_json());
     let broken = sweep_crash_points("msqueue-mutant", &dense_cfg(), |k| {
-        replay_queue(k, SchedPolicy::RoundRobin, push_pop_script(), true)
+        replay::<MsQueue>(k, SchedPolicy::RoundRobin, push_pop_script(), true)
     });
     assert!(
         !broken.all_states_ok(),

@@ -30,7 +30,7 @@ use cpucache::PrefetchConfig;
 use optane_core::{
     Generation, Interleaver, Machine, MachineConfig, MtStats, SchedPolicy, Step, ThreadId,
 };
-use pmds::{msqueue, treiber, MsQueue, MsQueueThread, TreiberStack, TreiberThread};
+use pmds::{Detectable, Lane, MsQueue, TreiberStack};
 use pmem::SimEnv;
 use simbase::{CACHELINE_BYTES, XPLINE_BYTES};
 
@@ -213,116 +213,73 @@ fn measure_structure(
     queue: bool,
 ) -> Result<(f64, MtStats), ExpError> {
     let (mut m, tids) = machine(params, threads);
-    let total_ops = drive_structure(&mut m, &tids, params.ops_per_thread, policy, queue)?;
-    let makespan = makespan(&m, &tids);
-    let mt = m.metrics().mt;
-    Ok((total_ops as f64 / makespan * 1e6, mt))
+    let ops = params.ops_per_thread;
+    let tput = if queue {
+        drive_structure::<MsQueue>(&mut m, &tids, ops, policy, "queue")?
+    } else {
+        drive_structure::<TreiberStack>(&mut m, &tids, ops, policy, "stack")?
+    };
+    Ok((tput, m.metrics().mt))
 }
 
-/// Drives either structure through the executor; returns acked op count.
-fn drive_structure(
+/// Drives a fresh `S` through the executor, one lane per thread, and
+/// returns the acked ops per Mcycle of makespan. Then checks every lane's descriptor
+/// reads back as committed (the run ended between operations); the check
+/// runs on `tids[0]` after the makespan is taken, so it costs the
+/// measurement nothing.
+fn drive_structure<S: Detectable>(
     m: &mut Machine,
     tids: &[ThreadId],
     ops_per_thread: u64,
     policy: SchedPolicy,
-    queue: bool,
-) -> Result<u64, ExpError> {
+    name: &str,
+) -> Result<f64, ExpError> {
     let threads = tids.len();
+    let (s, mut lanes) = {
+        let mut env = SimEnv::new(m, tids[0]);
+        let s = S::new(&mut env);
+        let lanes: Vec<Lane<S>> = (0..threads)
+            .map(|l| Lane::new(&mut env, l as u64))
+            .collect();
+        (s, lanes)
+    };
     let mut acked = 0u64;
-    if queue {
-        let (q, mut lanes) = {
-            let mut env = SimEnv::new(m, tids[0]);
-            let q = MsQueue::new(&mut env);
-            let lanes: Vec<MsQueueThread> = (0..threads)
-                .map(|l| MsQueueThread::new(&mut env, l as u64))
-                .collect();
-            (q, lanes)
-        };
-        let mut issued = vec![0u64; threads];
-        let report =
-            Interleaver::new(policy).run(m, tids, &mut |mm: &mut Machine, tid, lane: usize| {
-                if !lanes[lane].busy() {
-                    if issued[lane] == ops_per_thread {
-                        return Step::Done;
-                    }
-                    let i = issued[lane];
-                    issued[lane] += 1;
-                    if i.is_multiple_of(2) {
-                        lanes[lane].begin_enqueue(1 + lane as u64 * ops_per_thread + i);
-                    } else {
-                        lanes[lane].begin_dequeue();
-                    }
+    let mut issued = vec![0u64; threads];
+    let report =
+        Interleaver::new(policy).run(m, tids, &mut |mm: &mut Machine, tid, lane: usize| {
+            if !lanes[lane].busy() {
+                if issued[lane] == ops_per_thread {
+                    return Step::Done;
                 }
-                let mut env = SimEnv::new(mm, tid);
-                if lanes[lane].step(&mut env, &q).is_some() {
-                    acked += 1;
+                let i = issued[lane];
+                issued[lane] += 1;
+                if i.is_multiple_of(2) {
+                    lanes[lane].begin_insert(1 + lane as u64 * ops_per_thread + i);
+                } else {
+                    lanes[lane].begin_remove();
                 }
-                Step::Ran
-            });
-        if !report.completed {
-            return Err(ExpError::MissingData(
-                "queue workload did not retire".into(),
-            ));
-        }
-        // Post-run detectability check: every lane's descriptor must read
-        // back as committed (the run ended between operations).
-        let t0 = tids[0];
-        let mut env = SimEnv::new(m, t0);
-        for (l, lane) in lanes.iter().enumerate() {
-            let r = msqueue::recover(&mut env, &q, l as u64, lane.desc());
-            if !r.applied {
-                return Err(ExpError::MissingData(format!(
-                    "queue lane {l} descriptor not committed after run"
-                )));
             }
-        }
-    } else {
-        let (s, mut lanes) = {
-            let mut env = SimEnv::new(m, tids[0]);
-            let s = TreiberStack::new(&mut env);
-            let lanes: Vec<TreiberThread> = (0..threads)
-                .map(|l| TreiberThread::new(&mut env, l as u64))
-                .collect();
-            (s, lanes)
-        };
-        let mut issued = vec![0u64; threads];
-        let report =
-            Interleaver::new(policy).run(m, tids, &mut |mm: &mut Machine, tid, lane: usize| {
-                if !lanes[lane].busy() {
-                    if issued[lane] == ops_per_thread {
-                        return Step::Done;
-                    }
-                    let i = issued[lane];
-                    issued[lane] += 1;
-                    if i.is_multiple_of(2) {
-                        lanes[lane].begin_push(1 + lane as u64 * ops_per_thread + i);
-                    } else {
-                        lanes[lane].begin_pop();
-                    }
-                }
-                let mut env = SimEnv::new(mm, tid);
-                if lanes[lane].step(&mut env, &s).is_some() {
-                    acked += 1;
-                }
-                Step::Ran
-            });
-        if !report.completed {
-            return Err(ExpError::MissingData(
-                "stack workload did not retire".into(),
-            ));
-        }
-        let t0 = tids[0];
-        let mut env = SimEnv::new(m, t0);
-        for (l, lane) in lanes.iter().enumerate() {
-            let r = treiber::recover(&mut env, &s, l as u64, lane.desc());
-            if !r.applied {
-                return Err(ExpError::MissingData(format!(
-                    "stack lane {l} descriptor not committed after run"
-                )));
+            let mut env = SimEnv::new(mm, tid);
+            if lanes[lane].step(&mut env, &s).is_some() {
+                acked += 1;
             }
+            Step::Ran
+        });
+    if !report.completed {
+        return Err(ExpError::MissingData(format!(
+            "{name} workload did not retire"
+        )));
+    }
+    let tput = acked as f64 / makespan(m, tids) * 1e6;
+    let mut env = SimEnv::new(m, tids[0]);
+    for (l, lane) in lanes.iter().enumerate() {
+        if !lane.recover(&mut env, &s).applied {
+            return Err(ExpError::MissingData(format!(
+                "{name} lane {l} descriptor not committed after run"
+            )));
         }
     }
-    Ok(acked)
+    Ok(tput)
 }
 
 #[cfg(test)]

@@ -43,7 +43,7 @@ fn machine(gen: Generation) -> Machine {
     Machine::new(MachineConfig::for_generation(gen, PrefetchConfig::all(), 1))
 }
 
-/// Which measurement a panel-(a)/(b) curve performs.
+/// Which measurement a write curve of panels (a), (b) and (c) performs.
 fn write_curves() -> [(&'static str, AccessOrder, WriteKind); 4] {
     [
         ("seq_clwb", AccessOrder::Sequential, WriteKind::Clwb),
@@ -80,7 +80,12 @@ pub fn run(params: &E6Params) -> Result<Vec<ExpResult>, ExpError> {
         }
         out.push(result);
     }
-    // Panel (c): pure reads and pure writes.
+    out.push(breakdown(params));
+    Ok(out)
+}
+
+/// Panel (c): latency of pure reads and pure writes.
+fn breakdown(params: &E6Params) -> ExpResult {
     let mut result = ExpResult::new(
         format!(
             "E6 / Figure 8 (c) latency breakdown of pure reads and writes ({})",
@@ -99,20 +104,14 @@ pub fn run(params: &E6Params) -> Result<Vec<ExpResult>, ExpError> {
         }
         result.curves.push(curve);
     }
-    for (label, order, kind) in [
-        ("seq_clwb", AccessOrder::Sequential, WriteKind::Clwb),
-        ("rand_clwb", AccessOrder::Random, WriteKind::Clwb),
-        ("seq_nt-store", AccessOrder::Sequential, WriteKind::NtStore),
-        ("rand_nt-store", AccessOrder::Random, WriteKind::NtStore),
-    ] {
+    for (label, order, kind) in write_curves() {
         let mut curve = Curve::new(label);
         for &wss in &params.wss_points {
             curve.push(wss as f64, pure_write(params, wss, order, kind));
         }
         result.curves.push(curve);
     }
-    out.push(result);
-    Ok(out)
+    result
 }
 
 fn elements_of(wss: u64) -> u64 {
@@ -166,6 +165,8 @@ fn pure_write(params: &E6Params, wss: u64, order: AccessOrder, kind: WriteKind) 
 
 #[cfg(test)]
 mod tests {
+    use std::sync::OnceLock;
+
     use super::*;
 
     // Result-returning tests with typed require_* accessors: a missing
@@ -176,6 +177,20 @@ mod tests {
             generation: Generation::G1,
             wss_points: wss,
             laps: 2,
+        })
+    }
+
+    /// Panel (c) at 64 KiB and 64 MiB, computed once for every test that
+    /// reads it (each point runs on a fresh machine, so sharing changes no
+    /// value).
+    fn breakdown_64k_64m() -> &'static ExpResult {
+        static RUN: OnceLock<ExpResult> = OnceLock::new();
+        RUN.get_or_init(|| {
+            breakdown(&E6Params {
+                generation: Generation::G1,
+                wss_points: vec![64 << 10, 64 << 20],
+                laps: 2,
+            })
         })
     }
 
@@ -190,8 +205,7 @@ mod tests {
 
     #[test]
     fn read_latency_explodes_past_llc_while_write_stays_flat() -> Result<(), ExpError> {
-        let r = quick(vec![64 << 10, 64 << 20])?;
-        let breakdown = &r[2];
+        let breakdown = breakdown_64k_64m();
         let rd = breakdown.require_curve("rand_rd")?;
         let small_rd = rd.require_y((64 << 10) as f64)?;
         let big_rd = rd.require_y((64 << 20) as f64)?;
@@ -227,8 +241,7 @@ mod tests {
 
     #[test]
     fn sequential_beats_random_beyond_llc() -> Result<(), ExpError> {
-        let r = quick(vec![64 << 20])?;
-        let breakdown = &r[2];
+        let breakdown = breakdown_64k_64m();
         let seq = breakdown
             .require_curve("seq_rd")?
             .require_y((64 << 20) as f64)?;

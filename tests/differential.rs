@@ -4,12 +4,15 @@
 //! The same operation sequence must produce the same observable contents
 //! everywhere — the timing model must never change functional behaviour.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 
-use optane_study::core::{Machine, MachineConfig};
+use optane_study::core::{Machine, MachineConfig, ThreadId};
 use optane_study::cpucache::PrefetchConfig;
-use optane_study::pmds::{Cceh, FastFair, UpdateStrategy};
+use optane_study::pmds::{
+    Cceh, Detectable, FastFair, Lane, MsQueue, OpResult, TreiberStack, UpdateStrategy,
+};
 use optane_study::pmem::{HostEnv, PmemEnv, SimEnv};
+use optane_study::simbase::SplitMix64;
 use proptest::prelude::*;
 
 /// A randomized key-value operation.
@@ -28,11 +31,151 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     ]
 }
 
+/// A stack/queue script: `Some(v)` inserts `v`, `None` removes.
+type Script = Vec<Option<u64>>;
+
+fn script_strategy(len: std::ops::Range<usize>) -> impl Strategy<Value = Script> {
+    prop::collection::vec(
+        prop_oneof![
+            3 => (1u64..u64::MAX).prop_map(Some),
+            2 => Just(None),
+        ],
+        len,
+    )
+}
+
+fn sim_machine(lanes: usize) -> (Machine, Vec<ThreadId>) {
+    let mut m = Machine::new(MachineConfig::g1(PrefetchConfig::none(), 1));
+    let tids = (0..lanes).map(|_| m.spawn(0)).collect();
+    (m, tids)
+}
+
+/// Runs `script` on one lane of `S` on host and sim; every result and the
+/// final live values must match `model`, whose `pop` end is the
+/// structure's removal end.
+fn sequential_matches_model<S: Detectable>(
+    script: &[Option<u64>],
+    pop: fn(&mut VecDeque<u64>) -> Option<u64>,
+) {
+    let mut model = VecDeque::new();
+    let mut host = HostEnv::new();
+    let hs = S::new(&mut host);
+    let mut hl = Lane::new(&mut host, 0);
+    let (mut m, tids) = sim_machine(1);
+    let mut sim = SimEnv::new(&mut m, tids[0]);
+    let ss = S::new(&mut sim);
+    let mut sl = Lane::new(&mut sim, 0);
+    for &op in script {
+        match op {
+            Some(v) => {
+                model.push_back(v);
+                hl.insert(&mut host, &hs, v);
+                sl.insert(&mut sim, &ss, v);
+            }
+            None => {
+                let want = pop(&mut model);
+                assert_eq!(hl.remove(&mut host, &hs), want, "host");
+                assert_eq!(sl.remove(&mut sim, &ss), want, "sim");
+            }
+        }
+    }
+    let live: Vec<u64> = std::iter::from_fn(|| pop(&mut model)).collect();
+    assert_eq!(hs.live_values(&mut host), live);
+    assert_eq!(ss.live_values(&mut sim), live);
+}
+
+/// Runs `scripts` on `lanes`, one phase per turn, picking each turn's lane
+/// from `seed`; `step` runs one phase of lane `l` through its env. Returns
+/// every operation's result in completion order.
+fn interleave<S: Detectable>(
+    lanes: &mut [Lane<S>],
+    scripts: &[Script],
+    seed: u64,
+    mut step: impl FnMut(usize, &mut Lane<S>) -> Option<OpResult>,
+) -> Vec<(usize, OpResult)> {
+    let mut rng = SplitMix64::new(seed);
+    let mut begun = vec![0; scripts.len()];
+    let mut out = Vec::new();
+    loop {
+        let ready: Vec<usize> = (0..scripts.len())
+            .filter(|&l| lanes[l].busy() || begun[l] < scripts[l].len())
+            .collect();
+        if ready.is_empty() {
+            return out;
+        }
+        let l = ready[rng.gen_range(ready.len() as u64) as usize];
+        if !lanes[l].busy() {
+            match scripts[l][begun[l]] {
+                Some(v) => lanes[l].begin_insert(v),
+                None => lanes[l].begin_remove(),
+            }
+            begun[l] += 1;
+        }
+        if let Some(r) = step(l, &mut lanes[l]) {
+            out.push((l, r));
+        }
+    }
+}
+
+/// The same seeded interleaving on host and sim (one simulated thread per
+/// lane) must give the same results and live values, and the live values
+/// must be exactly the inserted minus the removed ones.
+fn interleaving_agrees<S: Detectable>(scripts: &[Script], seed: u64) {
+    let n = scripts.len();
+    let mut host = HostEnv::new();
+    let hs = S::new(&mut host);
+    let mut hl: Vec<Lane<S>> = (0..n).map(|l| Lane::new(&mut host, l as u64)).collect();
+    let host_results = interleave(&mut hl, scripts, seed, |_, lane| lane.step(&mut host, &hs));
+    let (mut m, tids) = sim_machine(n);
+    let (ss, mut sl) = {
+        let mut env = SimEnv::new(&mut m, tids[0]);
+        let ss = S::new(&mut env);
+        let sl: Vec<Lane<S>> = (0..n).map(|l| Lane::new(&mut env, l as u64)).collect();
+        (ss, sl)
+    };
+    let sim_results = interleave(&mut sl, scripts, seed, |l, lane| {
+        lane.step(&mut SimEnv::new(&mut m, tids[l]), &ss)
+    });
+    assert_eq!(host_results, sim_results);
+    let mut expected: Vec<u64> = scripts.iter().flatten().flatten().copied().collect();
+    for (_, r) in &host_results {
+        if let OpResult::Popped(v) = r {
+            let i = expected
+                .iter()
+                .position(|x| x == v)
+                .expect("removed a value never inserted");
+            expected.swap_remove(i);
+        }
+    }
+    expected.sort_unstable();
+    let mut host_live = hs.live_values(&mut host);
+    let mut sim_live = ss.live_values(&mut SimEnv::new(&mut m, tids[0]));
+    host_live.sort_unstable();
+    sim_live.sort_unstable();
+    assert_eq!(host_live, expected);
+    assert_eq!(sim_live, expected);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig {
         cases: 16,
         ..ProptestConfig::default()
     })]
+
+    #[test]
+    fn stack_and_queue_match_their_models_on_host_and_sim(script in script_strategy(1..150)) {
+        sequential_matches_model::<TreiberStack>(&script, VecDeque::pop_back);
+        sequential_matches_model::<MsQueue>(&script, VecDeque::pop_front);
+    }
+
+    #[test]
+    fn stack_and_queue_interleavings_agree_on_host_and_sim(
+        scripts in prop::collection::vec(script_strategy(1..40), 2..4),
+        seed in any::<u64>(),
+    ) {
+        interleaving_agrees::<TreiberStack>(&scripts, seed);
+        interleaving_agrees::<MsQueue>(&scripts, seed);
+    }
 
     #[test]
     fn cceh_matches_btreemap_on_host_and_sim(ops in prop::collection::vec(op_strategy(), 1..200)) {
