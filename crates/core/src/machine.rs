@@ -112,9 +112,6 @@ impl HwThread {
 /// Garbage-collection threshold for the transient per-cacheline maps.
 const MAP_GC_THRESHOLD: usize = 1 << 20;
 
-/// Smallest `inflight_fills` length that triggers a prune sweep.
-const INFLIGHT_GC_MIN: usize = 1 << 10;
-
 /// Issue cost of one 512-bit streaming (AVX) load in the paper's
 /// Algorithm 2 copy loop.
 const STREAMING_COPY_LINE_COST: Cycles = 40;
@@ -189,11 +186,6 @@ pub struct Machine {
     /// (Figure 7: nt-store RAP persists on G2), which is exactly how an
     /// absent record behaves.
     recent_flush: AddrMap<Cycles>,
-    /// Prune `inflight_fills` when it reaches this length. Doubled after
-    /// each sweep (amortized O(1)); only entries already complete for
-    /// *every* thread's clock are dropped, which no lookup can
-    /// distinguish from presence (they all filter on `done > now`).
-    inflight_gc_watermark: usize,
     demand: ByteCounter,
     pm_next: u64,
     dram_next: u64,
@@ -238,7 +230,6 @@ impl Machine {
             next_core: vec![0; 2],
             inflight_fills: AddrMap::new(),
             recent_flush: AddrMap::new(),
-            inflight_gc_watermark: INFLIGHT_GC_MIN,
             demand: ByteCounter::new(),
             pm_next: PM_BASE,
             dram_next: DRAM_BASE,
@@ -526,7 +517,7 @@ impl Machine {
             self.handle_writebacks(now, &wbs);
             self.inflight_fills.insert(cl.0, completion);
         }
-        if self.inflight_fills.len() >= self.inflight_gc_watermark {
+        if self.inflight_fills.collect_due() {
             // Every reader filters on `done > now`, so an entry complete
             // for the slowest thread's clock is indistinguishable from an
             // absent one for every thread, forever (clocks only advance).
@@ -536,8 +527,7 @@ impl Machine {
                 .map(|t| t.clock.now())
                 .min()
                 .unwrap_or(now);
-            self.inflight_fills.retain(|_, &done| done > horizon);
-            self.inflight_gc_watermark = (self.inflight_fills.len() * 2).max(INFLIGHT_GC_MIN);
+            self.inflight_fills.collect(|_, &done| done > horizon);
             // Same horizon argument holds for the controllers' in-flight
             // write records: every future call passes a thread clock, and
             // all of those are >= horizon.
@@ -1519,7 +1509,6 @@ impl Machine {
         self.pm.power_fail_flush(now);
         self.dram.reset_all();
         self.inflight_fills.clear();
-        self.inflight_gc_watermark = INFLIGHT_GC_MIN;
         self.recent_flush.clear();
         for t in &mut self.threads {
             t.outstanding_accept = 0;
@@ -1546,7 +1535,6 @@ impl Machine {
         self.pm.reset_all();
         self.dram.reset_all();
         self.inflight_fills.clear();
-        self.inflight_gc_watermark = INFLIGHT_GC_MIN;
         self.recent_flush.clear();
         self.demand.reset();
         self.metrics_baseline = MachineMetrics::default();
@@ -1809,6 +1797,7 @@ mod tests {
     use super::*;
     use crate::config::MachineConfig;
     use cpucache::PrefetchConfig;
+    use simbase::ADDR_MAP_GC_MIN;
 
     fn g1() -> Machine {
         Machine::new(MachineConfig::g1(PrefetchConfig::none(), 1))
@@ -2268,7 +2257,7 @@ mod tests {
         }
         m.sfence(t);
         assert!(
-            m.pm.inflight_len() < 2 * INFLIGHT_GC_MIN,
+            m.pm.inflight_len() < 2 * ADDR_MAP_GC_MIN,
             "nt-stores: {} records still held",
             m.pm.inflight_len()
         );
@@ -2279,7 +2268,7 @@ mod tests {
         }
         m.sfence(t);
         assert!(
-            m.pm.inflight_len() < 2 * INFLIGHT_GC_MIN,
+            m.pm.inflight_len() < 2 * ADDR_MAP_GC_MIN,
             "flushes: {} records still held",
             m.pm.inflight_len()
         );
@@ -2300,7 +2289,7 @@ mod tests {
             m.sfence(t);
         }
         assert!(
-            m.dram.inflight_len() < 2 * INFLIGHT_GC_MIN,
+            m.dram.inflight_len() < 2 * ADDR_MAP_GC_MIN,
             "{} DRAM records still held",
             m.dram.inflight_len()
         );

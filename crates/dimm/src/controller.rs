@@ -179,10 +179,10 @@ impl DimmController {
             return;
         };
         let threshold = now.saturating_sub(period);
-        for line in self.wb.sweep_full_lines(threshold) {
+        self.wb.sweep_full_lines(threshold, |line| {
             self.periodic_writebacks.inc();
             self.media.write_xpline(now, line);
-        }
+        });
     }
 
     /// Forces all buffered writes to the media (used by power-failure

@@ -76,16 +76,21 @@ pub struct WriteOutcome {
 
 /// Random-eviction write-combining buffer.
 ///
-/// Entries are small `Copy` records living in one preallocated slab
-/// (`Vec::with_capacity(capacity)`); slots are recycled in place via
-/// `swap_remove`, so steady-state operation never allocates. The slab
-/// order is observable (the random victim is an index into it), and
-/// `index` maps each buffered XPLine to its position so that lookups
-/// never scan it.
+/// Entries are small `Copy` records that stay in one stable slot of a
+/// preallocated slab (`slots`, with freed slots recycled through `free`),
+/// so steady-state operation never allocates and `index` maps each
+/// buffered XPLine to its slot without ever being rebuilt. `order` lists
+/// the occupied slots in the buffer's observable order: the random victim
+/// is an index into it (removed by `swap_remove`), and the periodic sweep
+/// and the power-fail drain visit it front to back.
 #[derive(Debug, Clone)]
 pub struct WriteBuffer {
-    entries: Vec<WriteEntry>,
-    /// XPLine address -> position in `entries`.
+    slots: Vec<WriteEntry>,
+    /// Slots not currently holding an entry.
+    free: Vec<usize>,
+    /// Occupied slots in victim-selection order.
+    order: Vec<usize>,
+    /// XPLine address -> slot.
     index: AddrMap<usize>,
     capacity: usize,
     rng: SplitMix64,
@@ -111,7 +116,9 @@ impl WriteBuffer {
     pub fn new(capacity_lines: usize, seed: u64) -> Self {
         assert!(capacity_lines > 0, "write buffer capacity must be positive");
         WriteBuffer {
-            entries: Vec::with_capacity(capacity_lines),
+            slots: Vec::with_capacity(capacity_lines),
+            free: Vec::with_capacity(capacity_lines),
+            order: Vec::with_capacity(capacity_lines),
             index: AddrMap::new(),
             capacity: capacity_lines,
             rng: SplitMix64::new(seed),
@@ -130,25 +137,16 @@ impl WriteBuffer {
         self.full_since = self.full_since.min(now);
     }
 
-    /// Records the removal of `entry` from the buffer (the conservative
-    /// `full_since` bound is left alone; it only causes a wasted scan).
-    #[inline]
-    fn note_removed(&mut self, entry: &WriteEntry) {
-        if entry.fully_written() {
-            self.full_candidates -= 1;
-        }
-    }
-
-    /// Returns the position of the entry for `xpline`.
+    /// Returns the slot of the entry for `xpline`.
     #[inline]
     fn find(&self, xpline: Addr) -> Option<usize> {
         self.index.get(xpline.0).copied()
     }
 
-    /// Merges a write of cacheline `bit` at `now` into the entry at `pos`
-    /// (a buffer hit), marking it backed if `backed`.
-    fn coalesce(&mut self, pos: usize, now: Cycles, bit: u8, backed: bool) {
-        let e = &mut self.entries[pos];
+    /// Merges a write of cacheline `bit` at `now` into the entry in
+    /// `slot` (a buffer hit), marking it backed if `backed`.
+    fn coalesce(&mut self, slot: usize, now: Cycles, bit: u8, backed: bool) {
+        let e = &mut self.slots[slot];
         let was_full = e.fully_written();
         e.written |= bit;
         e.backed |= backed;
@@ -159,35 +157,39 @@ impl WriteBuffer {
         self.hits += 1;
     }
 
-    /// Evicts a random victim if the buffer is full.
+    /// Evicts a random victim if the buffer is full. The conservative
+    /// `full_since` bound is left alone; it only causes a wasted scan.
     fn make_room(&mut self) -> Option<(Addr, EvictKind)> {
-        if self.entries.len() < self.capacity {
+        if self.order.len() < self.capacity {
             return None;
         }
-        let victim = self.rng.gen_range(self.entries.len() as u64) as usize;
-        let e = self.entries.swap_remove(victim);
+        let victim = self.rng.gen_range(self.order.len() as u64) as usize;
+        let slot = self.order.swap_remove(victim);
+        let e = self.slots[slot];
         self.index.remove(e.xpline.0);
-        if let Some(moved) = self.entries.get(victim) {
-            self.index.insert(moved.xpline.0, victim);
+        self.free.push(slot);
+        if e.fully_written() {
+            self.full_candidates -= 1;
         }
-        self.note_removed(&e);
         Some((e.xpline, e.evict_kind()))
     }
 
-    /// Appends a new entry to the slab.
+    /// Stores a new entry in a free slot at the end of `order`.
     fn push(&mut self, entry: WriteEntry) {
-        self.index.insert(entry.xpline.0, self.entries.len());
-        self.entries.push(entry);
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot] = entry;
+                slot
+            }
+            None => {
+                self.slots.push(entry);
+                self.slots.len() - 1
+            }
+        };
+        self.index.insert(entry.xpline.0, slot);
+        self.order.push(slot);
         if entry.fully_written() {
             self.note_became_full(entry.last_write);
-        }
-    }
-
-    /// Re-indexes every entry after the slab was compacted.
-    fn reindex(&mut self) {
-        self.index.clear();
-        for (i, e) in self.entries.iter().enumerate() {
-            self.index.insert(e.xpline.0, i);
         }
     }
 
@@ -198,8 +200,8 @@ impl WriteBuffer {
     pub fn write(&mut self, now: Cycles, addr: Addr) -> WriteOutcome {
         let xpline = addr.xpline();
         let bit = 1u8 << addr.cacheline_in_xpline();
-        if let Some(pos) = self.find(xpline) {
-            self.coalesce(pos, now, bit, false);
+        if let Some(slot) = self.find(xpline) {
+            self.coalesce(slot, now, bit, false);
             return WriteOutcome {
                 hit: true,
                 evicted: None,
@@ -227,8 +229,8 @@ impl WriteBuffer {
     pub fn install_backed(&mut self, now: Cycles, addr: Addr) -> Option<(Addr, EvictKind)> {
         let xpline = addr.xpline();
         let bit = 1u8 << addr.cacheline_in_xpline();
-        if let Some(pos) = self.find(xpline) {
-            self.coalesce(pos, now, bit, true);
+        if let Some(slot) = self.find(xpline) {
+            self.coalesce(slot, now, bit, true);
             return None;
         }
         self.hits += 1; // The write itself hit on-DIMM state (the read buffer).
@@ -247,8 +249,10 @@ impl WriteBuffer {
     pub fn serves_read(&self, addr: Addr) -> bool {
         let xpline = addr.xpline();
         let bit = 1u8 << addr.cacheline_in_xpline();
-        self.find(xpline)
-            .is_some_and(|i| self.entries[i].backed || self.entries[i].written & bit != 0)
+        self.find(xpline).is_some_and(|slot| {
+            let e = &self.slots[slot];
+            e.backed || e.written & bit != 0
+        })
     }
 
     /// Returns `true` if the XPLine containing `addr` has an entry.
@@ -256,64 +260,65 @@ impl WriteBuffer {
         self.find(addr.xpline()).is_some()
     }
 
-    /// Removes and returns every entry with its eviction kind (power-fail
-    /// ADR flush).
+    /// Removes and returns every entry with its eviction kind, in buffer
+    /// order (power-fail ADR flush).
     pub fn drain_all(&mut self) -> Vec<(Addr, EvictKind)> {
-        self.full_candidates = 0;
-        self.full_since = Cycles::MAX;
-        self.index.clear();
-        self.entries
-            .drain(..)
-            .map(|e| (e.xpline, e.evict_kind()))
-            .collect()
+        let drained = self
+            .order
+            .iter()
+            .map(|&slot| (self.slots[slot].xpline, self.slots[slot].evict_kind()))
+            .collect();
+        self.clear_entries();
+        drained
     }
 
-    /// Removes and returns fully written entries older than `threshold`
-    /// (the G1 periodic write-back sweep).
-    pub fn sweep_full_lines(&mut self, threshold: Cycles) -> Vec<Addr> {
+    /// Removes the fully written entries last written at or before
+    /// `threshold` (the G1 periodic write-back sweep), handing each one's
+    /// XPLine to `flush` in buffer order.
+    pub fn sweep_full_lines(&mut self, threshold: Cycles, mut flush: impl FnMut(Addr)) {
         // This runs on every DIMM operation; the tracker proves the
         // common case (nothing old enough to flush) without a scan.
         if self.full_candidates == 0 || self.full_since > threshold {
-            return Vec::new();
+            return;
         }
-        let mut flushed = Vec::new();
-        self.entries.retain(|e| {
-            if e.fully_written() && e.last_write <= threshold {
-                flushed.push(e.xpline);
-                false
-            } else {
-                true
+        let (slots, free, index) = (&self.slots, &mut self.free, &mut self.index);
+        let (mut candidates, mut since) = (0, Cycles::MAX);
+        self.order.retain(|&slot| {
+            let e = &slots[slot];
+            if !e.fully_written() {
+                return true;
             }
+            if e.last_write <= threshold {
+                index.remove(e.xpline.0);
+                free.push(slot);
+                flush(e.xpline);
+                return false;
+            }
+            candidates += 1;
+            since = since.min(e.last_write);
+            true
         });
-        self.reindex();
-        self.full_candidates = 0;
-        self.full_since = Cycles::MAX;
-        for e in &self.entries {
-            if e.fully_written() {
-                self.full_candidates += 1;
-                self.full_since = self.full_since.min(e.last_write);
-            }
-        }
-        flushed
+        self.full_candidates = candidates;
+        self.full_since = since;
     }
 
     /// Returns the XPLine addresses currently buffered, sorted by address
-    /// (fault injection surveys the ADR-resident set this way; entry order
-    /// is occupancy order and would leak `swap_remove` history).
+    /// (fault injection surveys the ADR-resident set this way; buffer
+    /// order would leak eviction history).
     pub fn resident_xplines(&self) -> Vec<Addr> {
-        let mut lines: Vec<Addr> = self.entries.iter().map(|e| e.xpline).collect();
+        let mut lines: Vec<Addr> = self.order.iter().map(|&s| self.slots[s].xpline).collect();
         lines.sort_unstable_by_key(|a| a.0);
         lines
     }
 
     /// Returns the number of occupied slots.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.order.len()
     }
 
     /// Returns `true` if the buffer is empty.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.order.is_empty()
     }
 
     /// Returns the configured capacity in XPLines.
@@ -332,12 +337,19 @@ impl WriteBuffer {
     /// cold-reset machine and a machine rebuilt from its snapshot must
     /// behave identically from then on.
     pub fn reset(&mut self) {
-        self.entries.clear();
-        self.index.clear();
+        self.clear_entries();
         self.rng = SplitMix64::new(self.seed);
+        self.reset_stats();
+    }
+
+    /// Empties every slot (statistics and the RNG stream stay).
+    fn clear_entries(&mut self) {
+        self.slots.clear();
+        self.free.clear();
+        self.order.clear();
+        self.index.clear();
         self.full_candidates = 0;
         self.full_since = Cycles::MAX;
-        self.reset_stats();
     }
 
     /// Clears statistics only; buffered contents and the RNG stream stay
@@ -422,7 +434,8 @@ mod tests {
         for cl in 0..4u64 {
             b.write(9000, Addr(512 + cl * 64)); // full line, too recent
         }
-        let flushed = b.sweep_full_lines(5000);
+        let mut flushed = Vec::new();
+        b.sweep_full_lines(5000, |line| flushed.push(line));
         assert_eq!(flushed, vec![Addr(0)]);
         assert_eq!(b.len(), 2);
     }

@@ -170,7 +170,7 @@ impl ModelWb {
 
 /// Runs `ops` (`(kind, cacheline, time step)`; `kind` is a percentage)
 /// against an XPBuffer of `cap` lines and the model, comparing every
-/// result.
+/// result, then drains both.
 fn check_wb_against_model(cap: usize, seed: u64, ops: &[(u64, u64, u64)]) {
     let mut wb = WriteBuffer::new(cap, seed);
     let mut model = ModelWb {
@@ -185,9 +185,17 @@ fn check_wb_against_model(cap: usize, seed: u64, ops: &[(u64, u64, u64)]) {
         now += step;
         let addr = Addr(cl * 64);
         match kind {
-            0..=49 => {
+            0..=44 => {
                 let got = wb.write(now, addr);
                 assert_eq!((got.hit, got.evicted), model.write(now, addr, false));
+            }
+            45..=49 => {
+                // A whole-XPLine write, the sweep's only candidates.
+                for cl in 0..4 {
+                    let addr = Addr(addr.xpline().0 + cl * 64);
+                    let got = wb.write(now, addr);
+                    assert_eq!((got.hit, got.evicted), model.write(now, addr, false));
+                }
             }
             50..=64 => {
                 let (_, want) = model.write(now, addr, true);
@@ -196,10 +204,9 @@ fn check_wb_against_model(cap: usize, seed: u64, ops: &[(u64, u64, u64)]) {
             65..=84 => assert_eq!(wb.serves_read(addr), model.serves_read(addr)),
             85..=96 => {
                 let threshold = now.saturating_sub(step * 20);
-                assert_eq!(
-                    wb.sweep_full_lines(threshold),
-                    model.sweep_full_lines(threshold)
-                );
+                let mut flushed = Vec::new();
+                wb.sweep_full_lines(threshold, |line| flushed.push(line));
+                assert_eq!(flushed, model.sweep_full_lines(threshold));
             }
             97 => {
                 let want: Vec<_> = model
@@ -227,6 +234,9 @@ fn check_wb_against_model(cap: usize, seed: u64, ops: &[(u64, u64, u64)]) {
         resident.sort_unstable_by_key(|a| a.0);
         assert_eq!(wb.resident_xplines(), resident);
     }
+    let want: Vec<_> = model.slab.iter().map(|e| (Addr(e.0), kind_of(e))).collect();
+    assert_eq!(wb.drain_all(), want);
+    assert!(wb.is_empty());
 }
 
 fn dimm(writeback: bool) -> DimmController {
@@ -261,6 +271,19 @@ proptest! {
         cap in 1usize..17,
         seed in any::<u64>(),
     ) {
+        check_wb_against_model(cap, seed, &ops);
+    }
+
+    #[test]
+    fn write_buffer_matches_slab_model_at_g1_and_g2_sizes(
+        ops in prop::collection::vec((0u64..97, 0u64..512, 1u64..400), 1000..3000),
+        cap in prop_oneof![Just(48usize), Just(64usize)],
+        seed in any::<u64>(),
+    ) {
+        // 128 recurring XPLines against the real 48- and 64-line buffers:
+        // the buffer fills, evicts at random and sweeps whole lines out of
+        // its middle. No drain or reset mid-script (kinds 97..), so it
+        // stays full; the check drains it at the end.
         check_wb_against_model(cap, seed, &ops);
     }
 

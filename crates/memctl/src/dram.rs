@@ -31,9 +31,6 @@ impl Default for DramParams {
     }
 }
 
-/// Smallest `inflight` population worth garbage-collecting.
-const INFLIGHT_GC_MIN: usize = 1 << 10;
-
 /// One socket's DRAM controller.
 #[derive(Debug)]
 pub struct DramController {
@@ -42,10 +39,6 @@ pub struct DramController {
     counters: ByteCounter,
     /// Cacheline address -> time the last flushed write becomes readable.
     inflight: AddrMap<Cycles>,
-    /// Size at which the next [`DramController::gc_inflight`] call
-    /// actually walks the map (amortized: doubles with the surviving
-    /// population).
-    gc_watermark: usize,
 }
 
 impl DramController {
@@ -57,7 +50,6 @@ impl DramController {
             channels,
             counters: ByteCounter::new(),
             inflight: AddrMap::new(),
-            gc_watermark: INFLIGHT_GC_MIN,
         }
     }
 
@@ -93,15 +85,10 @@ impl DramController {
     /// is `>= horizon`. Under that contract a record with `readable_at <=
     /// horizon` behaves exactly like an absent one — reads start at `now`
     /// either way, and a later write merges in a larger `readable_at` — so
-    /// collecting it cannot change any result. Amortized like
-    /// [`crate::PmController::gc_inflight`]: the walk only runs once the
-    /// map outgrows a doubling watermark.
+    /// collecting it cannot change any result. Amortized by
+    /// [`AddrMap::collect`]'s watermark.
     pub fn gc_inflight(&mut self, horizon: Cycles) {
-        if self.inflight.len() < self.gc_watermark {
-            return;
-        }
-        self.inflight.retain(|_, &readable| readable > horizon);
-        self.gc_watermark = (self.inflight.len() * 2).max(INFLIGHT_GC_MIN);
+        self.inflight.collect(|_, &readable| readable > horizon);
     }
 
     /// Number of in-flight write records currently held (what
@@ -125,7 +112,6 @@ impl DramController {
         self.counters.reset();
         self.channels.reset();
         self.inflight.clear();
-        self.gc_watermark = INFLIGHT_GC_MIN;
     }
 }
 

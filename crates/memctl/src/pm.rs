@@ -135,13 +135,7 @@ pub struct PmController {
     /// Cacheline address -> `(drained, readable_at)` of the last accepted
     /// write. Probed by every read; an [`AddrMap`] keeps that O(1).
     inflight: AddrMap<(Cycles, Cycles)>,
-    /// Size at which the next [`PmController::gc_inflight`] call actually
-    /// walks the map (amortized: doubles with the surviving population).
-    gc_watermark: usize,
 }
-
-/// Smallest `inflight` population worth garbage-collecting.
-const INFLIGHT_GC_MIN: usize = 1 << 10;
 
 impl PmController {
     /// Creates a controller with `params.num_dimms` DIMMs.
@@ -170,7 +164,6 @@ impl PmController {
             rpq,
             imc,
             inflight: AddrMap::new(),
-            gc_watermark: INFLIGHT_GC_MIN,
         }
     }
 
@@ -239,16 +232,12 @@ impl PmController {
     /// behaves exactly like an absent one — reads take `max(barrier, now)
     /// = now`, write merges take the fresh (larger) timestamps, and
     /// `undrained_lines` filters it out — so collecting it cannot change
-    /// any result. Amortized: the walk only runs once the map outgrows a
-    /// doubling watermark, so a long write phase holds only the records
-    /// still in flight instead of one per line it ever wrote.
+    /// any result. Amortized by [`AddrMap::collect`]'s watermark, so a
+    /// long write phase holds only the records still in flight instead of
+    /// one per line it ever wrote.
     pub fn gc_inflight(&mut self, horizon: Cycles) {
-        if self.inflight.len() < self.gc_watermark {
-            return;
-        }
         self.inflight
-            .retain(|_, &(drained, readable)| drained.max(readable) > horizon);
-        self.gc_watermark = (self.inflight.len() * 2).max(INFLIGHT_GC_MIN);
+            .collect(|_, &(drained, readable)| drained.max(readable) > horizon);
     }
 
     /// Number of in-flight write records currently held (what
@@ -420,7 +409,6 @@ impl PmController {
             r.reset_stats();
         }
         self.inflight.clear();
-        self.gc_watermark = INFLIGHT_GC_MIN;
     }
 }
 

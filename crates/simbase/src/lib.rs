@@ -28,7 +28,7 @@ pub mod stats;
 pub mod wire;
 
 pub use addr::{Addr, CACHELINES_PER_XPLINE, CACHELINE_BYTES, XPLINE_BYTES};
-pub use addrmap::AddrMap;
+pub use addrmap::{AddrMap, ADDR_MAP_GC_MIN};
 pub use clock::Cycles;
 pub use resource::{BandwidthGate, QueueStats, Server, ServerPool};
 pub use rng::SplitMix64;

@@ -4,7 +4,8 @@ use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 use simbase::{
-    Addr, AddrMap, BandwidthGate, Server, ServerPool, SplitMix64, CACHELINE_BYTES, XPLINE_BYTES,
+    Addr, AddrMap, BandwidthGate, Server, ServerPool, SplitMix64, ADDR_MAP_GC_MIN, CACHELINE_BYTES,
+    XPLINE_BYTES,
 };
 
 /// One step of an `AddrMap` script: `(op, page_key, key_index, value)`.
@@ -19,6 +20,21 @@ fn script_key(page_key: bool, index: u64) -> u64 {
     } else {
         0x1000_0000_0000 + index * CACHELINE_BYTES
     }
+}
+
+/// [`AddrMap::collect`] on a `BTreeMap` model whose watermark is `gc_at`.
+/// Returns `true` if it walked the map.
+fn model_collect(
+    model: &mut BTreeMap<u64, u64>,
+    gc_at: &mut usize,
+    keep: impl Fn(u64, u64) -> bool,
+) -> bool {
+    if model.len() < *gc_at {
+        return false;
+    }
+    model.retain(|&k, &mut v| keep(k, v));
+    *gc_at = (model.len() * 2).max(ADDR_MAP_GC_MIN);
+    true
 }
 
 proptest! {
@@ -142,6 +158,7 @@ proptest! {
         let script: Vec<MapStep> = script;
         let mut map: AddrMap<u64> = AddrMap::new();
         let mut model: BTreeMap<u64, u64> = BTreeMap::new();
+        let mut gc_at = ADDR_MAP_GC_MIN;
         for (op, page_key, index, value) in script {
             let key = script_key(page_key, index);
             match op {
@@ -152,14 +169,16 @@ proptest! {
                     *model.entry(key).or_insert(value) ^= 1;
                 }
                 36..=38 => {
-                    // A pure predicate on the entry alone.
+                    // A pure predicate on the entry alone; below the
+                    // collection watermark the map keeps everything.
                     let keep = |k: u64, v: u64| !(k / 64).wrapping_add(v).is_multiple_of(3);
-                    map.retain(|k, &v| keep(k, v));
-                    model.retain(|&k, &mut v| keep(k, v));
+                    map.collect(|k, &v| keep(k, v));
+                    model_collect(&mut model, &mut gc_at, keep);
                 }
                 _ => {
                     map.clear();
                     model.clear();
+                    gc_at = ADDR_MAP_GC_MIN;
                 }
             }
             prop_assert_eq!(map.get(key), model.get(&key));
@@ -173,5 +192,41 @@ proptest! {
         prop_assert_eq!(map.sorted_entries(), sorted);
         prop_assert_eq!(map.sorted_keys(), model.keys().copied().collect::<Vec<u64>>());
         prop_assert_eq!(format!("{map:?}"), format!("{model:?}"));
+    }
+
+    #[test]
+    fn addr_map_collect_matches_a_btreemap_model(
+        rounds in prop::collection::vec((1u64..8, 0u64..320, any::<u64>()), 1000..3000),
+    ) {
+        // Insert/expire rounds like the in-flight maps': each round stores
+        // a few records that expire `life` rounds later, then collects
+        // what has expired. The population crosses the watermark many
+        // times, so the map must walk exactly when the model does.
+        let mut map: AddrMap<u64> = AddrMap::new();
+        let mut model: BTreeMap<u64, u64> = BTreeMap::new();
+        let mut gc_at = ADDR_MAP_GC_MIN;
+        let mut walks = 0;
+        for (round, &(inserts, life, seed)) in (0u64..).zip(&rounds) {
+            let mut rng = SplitMix64::new(seed);
+            for _ in 0..inserts {
+                let key = script_key(rng.next_u64() & 1 == 0, rng.gen_range(8192));
+                let expiry = round + life;
+                prop_assert_eq!(map.insert(key, expiry), model.insert(key, expiry));
+            }
+            let probe = script_key(seed & 1 == 0, seed % 8192);
+            if seed % 16 == 0 {
+                prop_assert_eq!(map.remove(probe), model.remove(&probe));
+            }
+            map.collect(|_, &expiry| expiry > round);
+            if model_collect(&mut model, &mut gc_at, |_, expiry| expiry > round) {
+                walks += 1;
+                let sorted: Vec<(u64, &u64)> = model.iter().map(|(&k, v)| (k, v)).collect();
+                prop_assert_eq!(map.sorted_entries(), sorted);
+            }
+            prop_assert_eq!(map.len(), model.len());
+            prop_assert_eq!(map.collect_due(), model.len() >= gc_at);
+            prop_assert_eq!(map.get(probe), model.get(&probe));
+        }
+        prop_assert!(walks > 0, "population never reached the watermark");
     }
 }

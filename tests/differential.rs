@@ -84,24 +84,37 @@ fn sequential_matches_model<S: Detectable>(
     assert_eq!(ss.live_values(&mut sim), live);
 }
 
+/// One completed operation of an interleaving.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Done {
+    lane: usize,
+    /// The script entry: `Some(v)` inserts `v`, `None` removes.
+    op: Option<u64>,
+    result: OpResult,
+    /// The turns on which the operation began and completed.
+    begin: usize,
+    end: usize,
+}
+
 /// Runs `scripts` on `lanes`, one phase per turn, picking each turn's lane
 /// from `seed`; `step` runs one phase of lane `l` through its env. Returns
-/// every operation's result in completion order.
+/// every operation in completion order.
 fn interleave<S: Detectable>(
     lanes: &mut [Lane<S>],
     scripts: &[Script],
     seed: u64,
     mut step: impl FnMut(usize, &mut Lane<S>) -> Option<OpResult>,
-) -> Vec<(usize, OpResult)> {
+) -> Vec<Done> {
     let mut rng = SplitMix64::new(seed);
     let mut begun = vec![0; scripts.len()];
+    let mut begun_at = vec![0; scripts.len()];
     let mut out = Vec::new();
-    loop {
+    for turn in 0.. {
         let ready: Vec<usize> = (0..scripts.len())
             .filter(|&l| lanes[l].busy() || begun[l] < scripts[l].len())
             .collect();
         if ready.is_empty() {
-            return out;
+            break;
         }
         let l = ready[rng.gen_range(ready.len() as u64) as usize];
         if !lanes[l].busy() {
@@ -110,9 +123,43 @@ fn interleave<S: Detectable>(
                 None => lanes[l].begin_remove(),
             }
             begun[l] += 1;
+            begun_at[l] = turn;
         }
-        if let Some(r) = step(l, &mut lanes[l]) {
-            out.push((l, r));
+        if let Some(result) = step(l, &mut lanes[l]) {
+            out.push(Done {
+                lane: l,
+                op: scripts[l][begun[l] - 1],
+                result,
+                begin: begun_at[l],
+                end: turn,
+            });
+        }
+    }
+    out
+}
+
+/// Every `Empty` remove must have seen an empty structure at some point
+/// of its span. It did not if some value's insert completed before the
+/// remove began while that value's own remove began after it ended, or
+/// never ran: the value was present throughout.
+fn empty_removes_saw_empty(done: &[Done]) {
+    let removal_begin: BTreeMap<u64, usize> = done
+        .iter()
+        .filter_map(|d| match d.result {
+            OpResult::Popped(v) => Some((v, d.begin)),
+            _ => None,
+        })
+        .collect();
+    for e in done.iter().filter(|d| d.result == OpResult::Empty) {
+        for ins in done.iter().filter(|d| d.end < e.begin) {
+            let Some(v) = ins.op else { continue };
+            let removed = removal_begin.get(&v).is_some_and(|&b| b <= e.end);
+            assert!(
+                removed,
+                "lane {} returned Empty over turns {}..={} while {v} (inserted by \
+                 lane {} at turn {}) was present throughout",
+                e.lane, e.begin, e.end, ins.lane, ins.end
+            );
         }
     }
 }
@@ -137,9 +184,10 @@ fn interleaving_agrees<S: Detectable>(scripts: &[Script], seed: u64) {
         lane.step(&mut SimEnv::new(&mut m, tids[l]), &ss)
     });
     assert_eq!(host_results, sim_results);
+    empty_removes_saw_empty(&host_results);
     let mut expected: Vec<u64> = scripts.iter().flatten().flatten().copied().collect();
-    for (_, r) in &host_results {
-        if let OpResult::Popped(v) = r {
+    for d in &host_results {
+        if let OpResult::Popped(v) = &d.result {
             let i = expected
                 .iter()
                 .position(|x| x == v)
