@@ -9,7 +9,8 @@
 //! This crate models:
 //!
 //! - set-associative, write-back, write-allocate L1d and L2 caches per core
-//!   and a shared victim-style L3 ([`setassoc::Cache`], [`system::CacheSystem`]);
+//!   and a shared victim-style L3 ([`system::CacheSystem`], each level a
+//!   [`simbase::SetAssoc`] table of line numbers);
 //! - the three Intel prefetchers the paper toggles through BIOS
 //!   ([`prefetch`]): the DCU streamer (L1), the adjacent-cacheline
 //!   prefetcher (L2), and the L2 hardware stream prefetcher;
@@ -28,11 +29,9 @@
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod prefetch;
-pub mod setassoc;
 pub mod system;
 
 pub use prefetch::{PrefetchConfig, PrefetcherStats, Prefetchers, SuggestionList};
-pub use setassoc::{Cache, Evicted};
 pub use system::{
     AccessResult, CacheHierarchyStats, CacheLevelStats, CacheParams, CacheSystem, FlushMode,
     HitLevel,

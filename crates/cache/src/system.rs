@@ -13,17 +13,38 @@
 //! persistence semantics and is modelled faithfully, including the G1/G2
 //! `clwb` difference.
 //!
-//! Every level is a [`Cache`]: a key table (line number plus one per
-//! slot) and a stamp table (LRU tick and dirty bit per slot). A full G1
-//! machine configures 2 sockets × 20 cores of L1 and L2 plus two 27.5 MB
-//! L3s, about 24 MiB of tables, but a cache allocates its tables only when
-//! a line is first filled into it, so one thread on one core pays for one
-//! core's caches (and the sets of the L3 it touches).
+//! Every level is a [`SetAssoc`] table of cacheline numbers: one
+//! 64-byte-aligned block of tags, LRU ranks and dirty bits per set. A
+//! full G1 machine configures 2 sockets × 20 cores of L1 and L2 plus two
+//! 27.5 MB L3s (2.6 MB of table each), about 13 MiB of tables in all,
+//! but a table is allocated only when a line is first filled into it, so
+//! one thread on one core pays for one core's caches (and the pages of
+//! the L3 table it touches).
 
-use simbase::{Addr, Cycles, HitMiss};
+use simbase::{Addr, Cycles, HitMiss, SetAssoc, CACHELINE_BYTES};
 
 use crate::prefetch::{PrefetchConfig, PrefetcherStats, Prefetchers, SuggestionList};
-use crate::setassoc::Cache;
+
+/// Returns the table of a cache of `capacity_bytes` with `ways`
+/// associativity. The number of sets is `capacity / (ways * 64)`, rounded
+/// down; odd capacities (such as the 27.5 MB G1 L3) therefore work.
+///
+/// # Panics
+///
+/// Panics if `ways` is zero or the capacity holds fewer lines than one
+/// way.
+fn cache_table(capacity_bytes: u64, ways: usize) -> SetAssoc {
+    let lines = capacity_bytes / CACHELINE_BYTES;
+    assert!(ways > 0, "associativity must be positive");
+    assert!(lines >= ways as u64, "capacity smaller than one set");
+    SetAssoc::new(lines / ways as u64, ways)
+}
+
+/// The table item of `addr`: its cacheline number.
+#[inline]
+fn line(addr: Addr) -> u64 {
+    addr.0 / CACHELINE_BYTES
+}
 
 /// Geometry and latency of the cache hierarchy.
 #[derive(Debug, Clone)]
@@ -169,8 +190,8 @@ impl CacheHierarchyStats {
 
 #[derive(Debug, Clone)]
 struct CoreCaches {
-    l1: Cache,
-    l2: Cache,
+    l1: SetAssoc,
+    l2: SetAssoc,
     pf: Prefetchers,
 }
 
@@ -178,7 +199,7 @@ struct CoreCaches {
 #[derive(Debug, Clone)]
 pub struct CacheSystem {
     cores: Vec<CoreCaches>,
-    l3: Cache,
+    l3: SetAssoc,
     params: CacheParams,
     /// Prefetched lines installed into L2 via [`CacheSystem::fill_prefetch`].
     prefetch_fills: u64,
@@ -200,14 +221,14 @@ impl CacheSystem {
         assert!(num_cores > 0, "need at least one core");
         let cores = (0..num_cores)
             .map(|_| CoreCaches {
-                l1: Cache::new(params.l1_bytes, params.l1_ways),
-                l2: Cache::new(params.l2_bytes, params.l2_ways),
+                l1: cache_table(params.l1_bytes, params.l1_ways),
+                l2: cache_table(params.l2_bytes, params.l2_ways),
                 pf: Prefetchers::new(pf),
             })
             .collect();
         CacheSystem {
             cores,
-            l3: Cache::new(params.l3_bytes, params.l3_ways),
+            l3: cache_table(params.l3_bytes, params.l3_ways),
             params,
             prefetch_fills: 0,
             occupied: vec![0; num_cores.div_ceil(64)],
@@ -243,13 +264,13 @@ impl CacheSystem {
         let addr = addr.cacheline();
         let mut writebacks = Vec::new();
         let level;
-        if self.cores[core].l1.access(addr, write) {
+        if self.cores[core].l1.access(line(addr), write) {
             level = HitLevel::L1;
-        } else if self.cores[core].l2.access(addr, false) {
+        } else if self.cores[core].l2.access(line(addr), false) {
             // Promote into L1; dirtiness of a write rides in L1.
             self.promote_to_l1(core, addr, write, &mut writebacks);
             level = HitLevel::L2;
-        } else if self.l3.access(addr, false) {
+        } else if self.l3.access(line(addr), false) {
             self.fill_private(core, addr, write, &mut writebacks);
             level = HitLevel::L3;
         } else {
@@ -282,7 +303,7 @@ impl CacheSystem {
         if !c.pf.last_saw(addr) {
             return None;
         }
-        c.l1.slot_of(addr)
+        c.l1.slot_of(line(addr))
     }
 
     /// Replays a load that [`CacheSystem::repeat_slot`] found to be a
@@ -293,7 +314,7 @@ impl CacheSystem {
     #[inline]
     pub fn repeat_l1_hit(&mut self, core: usize, addr: Addr, slot: usize) -> bool {
         let c = &mut self.cores[core];
-        if !c.l1.touch(slot, addr) {
+        if !c.l1.touch(slot, line(addr)) {
             return false;
         }
         let suggested = c.pf.on_demand_access(addr, false);
@@ -307,22 +328,22 @@ impl CacheSystem {
 
     fn promote_to_l1(&mut self, core: usize, addr: Addr, dirty: bool, wb: &mut Vec<Addr>) {
         self.mark_occupied(core);
-        if let Some(ev) = self.cores[core].l1.fill(addr, dirty) {
-            self.insert_l2(core, ev.addr, ev.dirty, wb);
+        if let Some(ev) = self.cores[core].l1.fill(line(addr), dirty) {
+            self.insert_l2(core, Addr(ev.item * CACHELINE_BYTES), ev.dirty, wb);
         }
     }
 
     fn insert_l2(&mut self, core: usize, addr: Addr, dirty: bool, wb: &mut Vec<Addr>) {
         self.mark_occupied(core);
-        if let Some(ev) = self.cores[core].l2.fill(addr, dirty) {
-            self.insert_l3(ev.addr, ev.dirty, wb);
+        if let Some(ev) = self.cores[core].l2.fill(line(addr), dirty) {
+            self.insert_l3(Addr(ev.item * CACHELINE_BYTES), ev.dirty, wb);
         }
     }
 
     fn insert_l3(&mut self, addr: Addr, dirty: bool, wb: &mut Vec<Addr>) {
-        if let Some(ev) = self.l3.fill(addr, dirty) {
+        if let Some(ev) = self.l3.fill(line(addr), dirty) {
             if ev.dirty {
-                wb.push(ev.addr);
+                wb.push(Addr(ev.item * CACHELINE_BYTES));
             }
         }
     }
@@ -361,7 +382,7 @@ impl CacheSystem {
     /// cores in `occupied` are visited; the dirty bit is an OR over them,
     /// which no visiting order can change.
     pub fn flush(&mut self, addr: Addr, mode: FlushMode) -> bool {
-        let addr = addr.cacheline();
+        let item = line(addr);
         let mut dirty = false;
         for w in 0..self.occupied.len() {
             let mut bits = self.occupied[w];
@@ -371,22 +392,22 @@ impl CacheSystem {
                 let c = &mut self.cores[w * 64 + bit.trailing_zeros() as usize];
                 match mode {
                     FlushMode::Invalidate => {
-                        dirty |= c.l1.invalidate(addr).unwrap_or(false);
-                        dirty |= c.l2.invalidate(addr).unwrap_or(false);
+                        dirty |= c.l1.invalidate(item).unwrap_or(false);
+                        dirty |= c.l2.invalidate(item).unwrap_or(false);
                         if c.l1.is_empty() && c.l2.is_empty() {
                             self.occupied[w] ^= bit;
                         }
                     }
                     FlushMode::WriteBackRetain => {
-                        dirty |= c.l1.clean(addr).unwrap_or(false);
-                        dirty |= c.l2.clean(addr).unwrap_or(false);
+                        dirty |= c.l1.clean(item).unwrap_or(false);
+                        dirty |= c.l2.clean(item).unwrap_or(false);
                     }
                 }
             }
         }
         dirty |= match mode {
-            FlushMode::Invalidate => self.l3.invalidate(addr),
-            FlushMode::WriteBackRetain => self.l3.clean(addr),
+            FlushMode::Invalidate => self.l3.invalidate(item),
+            FlushMode::WriteBackRetain => self.l3.clean(item),
         }
         .unwrap_or(false);
         dirty
@@ -395,12 +416,12 @@ impl CacheSystem {
     /// Returns the closest level at which `core` can see `addr`, without
     /// disturbing LRU state.
     pub fn contains(&self, core: usize, addr: Addr) -> Option<HitLevel> {
-        let addr = addr.cacheline();
-        if self.cores[core].l1.peek(addr) {
+        let item = line(addr);
+        if self.cores[core].l1.peek(item) {
             Some(HitLevel::L1)
-        } else if self.cores[core].l2.peek(addr) {
+        } else if self.cores[core].l2.peek(item) {
             Some(HitLevel::L2)
-        } else if self.l3.peek(addr) {
+        } else if self.l3.peek(item) {
             Some(HitLevel::L3)
         } else {
             None
@@ -410,12 +431,16 @@ impl CacheSystem {
     /// Drops every cached line (simulated power failure), returning the
     /// addresses of lines that held dirty data.
     pub fn drop_all(&mut self) -> Vec<Addr> {
-        let mut dirty = Vec::new();
+        let mut lines = Vec::new();
         for c in &mut self.cores {
-            dirty.extend(c.l1.drain_dirty());
-            dirty.extend(c.l2.drain_dirty());
+            lines.extend(c.l1.drain_dirty());
+            lines.extend(c.l2.drain_dirty());
         }
-        dirty.extend(self.l3.drain_dirty());
+        lines.extend(self.l3.drain_dirty());
+        let mut dirty: Vec<Addr> = lines
+            .into_iter()
+            .map(|l| Addr(l * CACHELINE_BYTES))
+            .collect();
         dirty.sort();
         dirty.dedup();
         self.occupied.fill(0);

@@ -1,215 +1,56 @@
-//! Property tests for the cache model: the set-associative cache against
-//! a reference model, and hierarchy invariants under random traffic.
+//! Property tests for the cache hierarchy: fills and flushes against a
+//! reference model, and invariants under random traffic. The table each
+//! level is built on has its own differential in simbase's props.
 
-use std::collections::HashMap;
+#[path = "../../simbase/tests/lru_model/mod.rs"]
+mod lru_model;
 
-use cpucache::{Cache, CacheParams, CacheSystem, FlushMode, HitLevel, PrefetchConfig};
+use cpucache::{CacheParams, CacheSystem, FlushMode, HitLevel, PrefetchConfig};
+use lru_model::ModelLru;
 use proptest::prelude::*;
-use simbase::{Addr, HitMiss};
+use simbase::Addr;
 
-/// Reference model of a set-associative LRU cache.
-struct ModelCache {
-    sets: HashMap<u64, Vec<(u64, bool)>>, // set -> [(line, dirty)] in LRU order
-    num_sets: u64,
-    ways: usize,
-    hits: u64,
-    misses: u64,
-}
+/// A reference cache level: the LRU model over line numbers, answering
+/// in addresses.
+struct ModelCache(ModelLru);
 
 impl ModelCache {
     fn new(capacity_bytes: u64, ways: usize) -> Self {
-        ModelCache {
-            sets: HashMap::new(),
-            num_sets: (capacity_bytes / 64 / ways as u64).max(1),
+        ModelCache(ModelLru::new(
+            (capacity_bytes / 64 / ways as u64).max(1),
             ways,
-            hits: 0,
-            misses: 0,
-        }
-    }
-
-    fn set_mut(&mut self, addr: Addr) -> &mut Vec<(u64, bool)> {
-        let set = (addr.cacheline().0 / 64) % self.num_sets;
-        self.sets.entry(set).or_default()
-    }
-
-    fn position(&mut self, addr: Addr) -> Option<usize> {
-        let line = addr.cacheline().0;
-        self.set_mut(addr).iter().position(|&(l, _)| l == line)
+        ))
     }
 
     fn access(&mut self, addr: Addr, dirty: bool) -> bool {
-        let Some(pos) = self.position(addr) else {
-            self.misses += 1;
-            return false;
-        };
-        self.hits += 1;
-        let set = self.set_mut(addr);
-        let (l, d) = set.remove(pos);
-        set.push((l, d || dirty));
-        true
+        self.0.access(addr.0 / 64, dirty)
     }
 
     fn fill(&mut self, addr: Addr, dirty: bool) -> Option<(u64, bool)> {
-        let line = addr.cacheline().0;
-        let ways = self.ways;
-        let pos = self.position(addr);
-        let set = self.set_mut(addr);
-        if let Some(pos) = pos {
-            let (l, d) = set.remove(pos);
-            set.push((l, d || dirty));
-            return None;
-        }
-        let evicted = if set.len() >= ways {
-            Some(set.remove(0))
-        } else {
-            None
-        };
-        set.push((line, dirty));
-        evicted
+        let ev = self.0.fill(addr.0 / 64, dirty);
+        ev.map(|(line, d)| (line * 64, d))
     }
 
     fn peek(&mut self, addr: Addr) -> bool {
-        self.position(addr).is_some()
+        self.0.peek(addr.0 / 64)
     }
 
     fn invalidate(&mut self, addr: Addr) -> Option<bool> {
-        let pos = self.position(addr)?;
-        Some(self.set_mut(addr).remove(pos).1)
+        self.0.invalidate(addr.0 / 64)
     }
 
     fn clean(&mut self, addr: Addr) -> Option<bool> {
-        let pos = self.position(addr)?;
-        Some(std::mem::replace(&mut self.set_mut(addr)[pos].1, false))
+        self.0.clean(addr.0 / 64)
     }
 
     fn drain_dirty(&mut self) -> Vec<Addr> {
-        let mut dirty: Vec<Addr> = self
-            .sets
-            .drain()
-            .flat_map(|(_, set)| set)
-            .filter(|&(_, d)| d)
-            .map(|(l, _)| Addr(l))
-            .collect();
-        dirty.sort();
-        dirty
-    }
-
-    fn reset(&mut self) {
-        self.sets.clear();
-        self.hits = 0;
-        self.misses = 0;
-    }
-
-    fn len(&self) -> usize {
-        self.sets.values().map(Vec::len).sum()
+        self.0
+            .drain_dirty()
+            .into_iter()
+            .map(|l| Addr(l * 64))
+            .collect()
     }
 }
-
-/// The machine's PM and DRAM address-space bases (`optane_core::PM_BASE`
-/// and `DRAM_BASE`), as cacheline numbers.
-const PM_BASE_LINE: u64 = 0x0000_1000_0000_0000 / 64;
-const DRAM_BASE_LINE: u64 = 0x0000_2000_0000_0000 / 64;
-
-/// Line number `i` of a pool that spans line 0, the PM and DRAM bases and
-/// the top of the address space, so keys (`line + 1`) cover the empty-slot
-/// sentinel's neighbour and large tags.
-fn pool_line(i: u64) -> u64 {
-    let k = i / 4;
-    match i % 4 {
-        0 => k,
-        1 => PM_BASE_LINE + k,
-        2 => DRAM_BASE_LINE + k,
-        _ => u64::MAX / 64 - k,
-    }
-}
-
-/// Runs `ops` (`(kind, pool index, dirty)`) against a cache and the model
-/// and checks every result, the occupancy and the counters as it goes.
-/// `kind` is a percentage: fills and accesses dominate, so sets fill up
-/// and evict between the rare drains (98) and resets (99).
-fn check_against_model(capacity_bytes: u64, ways: usize, ops: &[(u64, u64, bool)]) {
-    let mut cache = Cache::new(capacity_bytes, ways);
-    let mut model = ModelCache::new(capacity_bytes, ways);
-    for &(kind, i, dirty) in ops {
-        let addr = Addr(pool_line(i) * 64);
-        match kind {
-            0..=44 => {
-                let got = cache.fill(addr, dirty);
-                let want = model.fill(addr, dirty);
-                match (got, want) {
-                    (None, None) => {}
-                    (Some(g), Some((wl, wd))) => {
-                        assert_eq!(g.addr, Addr(wl));
-                        assert_eq!(g.dirty, wd);
-                    }
-                    other => panic!("eviction mismatch: {other:?}"),
-                }
-            }
-            45..=69 => assert_eq!(cache.access(addr, dirty), model.access(addr, dirty)),
-            70..=74 => {
-                // The repeat path: a slot lookup, then a slot-checked
-                // touch that must count and refresh like a clean access.
-                let slot = cache.slot_of(addr);
-                assert_eq!(slot.is_some(), model.peek(addr));
-                match slot {
-                    Some(slot) => {
-                        assert!(cache.touch(slot, addr));
-                        assert!(model.access(addr, false));
-                    }
-                    None => assert!(!cache.touch(i as usize % ways, addr)),
-                }
-            }
-            75..=82 => assert_eq!(cache.peek(addr), model.peek(addr)),
-            83..=90 => assert_eq!(cache.invalidate(addr), model.invalidate(addr)),
-            91..=97 => assert_eq!(cache.clean(addr), model.clean(addr)),
-            98 => {
-                let mut got = cache.drain_dirty();
-                got.sort();
-                assert_eq!(got, model.drain_dirty());
-            }
-            _ => {
-                cache.reset();
-                model.reset();
-            }
-        }
-        assert_eq!(cache.len(), model.len());
-        assert_eq!(cache.is_empty(), model.len() == 0);
-        assert_eq!(cache.counters(), HitMiss::of(model.hits, model.misses));
-    }
-    // Final residency agrees.
-    for i in 0..POOL {
-        let addr = Addr(pool_line(i) * 64);
-        assert_eq!(cache.peek(addr), model.peek(addr), "line {:#x}", addr.0);
-    }
-}
-
-#[test]
-fn a_table_that_was_never_filled_misses_everything() {
-    // Tables are allocated by the first fill; before it, and after a
-    // reset drops them, every query must answer as for an empty cache.
-    let mut cache = Cache::new(27_500 << 10, 11);
-    for _ in 0..2 {
-        for i in 0..POOL {
-            let addr = Addr(pool_line(i) * 64);
-            assert!(!cache.peek(addr));
-            assert_eq!(cache.slot_of(addr), None);
-            assert!(!cache.touch(i as usize, addr));
-            assert_eq!(cache.invalidate(addr), None);
-            assert_eq!(cache.clean(addr), None);
-        }
-        assert!(cache.is_empty());
-        assert!(cache.drain_dirty().is_empty());
-        assert_eq!(cache.counters(), HitMiss::new());
-        cache.fill(Addr(64), true);
-        assert!(cache.peek(Addr(64)));
-        cache.reset();
-    }
-    assert!(!cache.access(Addr(64), false), "a miss is counted");
-    assert_eq!(cache.counters(), HitMiss::of(0, 1));
-}
-
-/// Pool size: 16 lines per region, several times the 15-16 line caches.
-const POOL: u64 = 64;
 
 /// Reference hierarchy: `CacheSystem`'s fill and flush rules over
 /// `ModelCache`s, with every flush visiting every core.
@@ -365,23 +206,6 @@ fn check_hierarchy_against_model(cores: usize, ops: &[(u64, u64, u64, bool)]) {
 }
 
 proptest! {
-    #[test]
-    fn cache_matches_lru_model(
-        ops in prop::collection::vec((0u64..100, 0u64..POOL, any::<bool>()), 1..300),
-    ) {
-        // 4 sets x 4 ways, and a non-power-of-two 5 sets x 3 ways: small
-        // enough to stress eviction constantly.
-        check_against_model(16 * 64, 4, &ops);
-        check_against_model(15 * 64, 3, &ops);
-        // The associativities the G1 and G2 hierarchies configure, at one
-        // and two sets, so a set fills up and evicts within the pool.
-        for ways in [8, 11, 12, 16, 20] {
-            for sets in [1, 2] {
-                check_against_model(sets * ways as u64 * 64, ways, &ops);
-            }
-        }
-    }
-
     #[test]
     fn hierarchy_flushes_match_a_visit_every_core_model(
         ops in prop::collection::vec((0u64..100, 0u64..70, 0u64..48, any::<bool>()), 1..400),

@@ -7,10 +7,12 @@
 //! coverage pay an extra media lookup, producing the sharp latency increase
 //! the paper observes when the working set exceeds 16 MB.
 //!
-//! The cache is modelled as a set-associative tag array over fixed-size
-//! address granules with per-set LRU replacement.
+//! The cache is modelled as a [`SetAssoc`] table over fixed-size address
+//! granules: set-associative, with per-set LRU replacement, and filled on
+//! every miss. `coverage / 4 KB / ways` sets (at least one), so the
+//! default 16 MB, 16-way cache has 256 sets.
 
-use simbase::{Addr, HitMiss};
+use simbase::{Addr, HitMiss, SetAssoc};
 
 /// Bytes of address space covered by one AIT entry.
 pub const AIT_GRANULE_BYTES: u64 = 4096;
@@ -18,36 +20,22 @@ pub const AIT_GRANULE_BYTES: u64 = 4096;
 /// Set-associative AIT tag cache.
 #[derive(Debug, Clone)]
 pub struct AitCache {
-    sets: Vec<Vec<AitEntry>>,
-    ways: usize,
-    hits: u64,
-    misses: u64,
-    tick: u64,
-}
-
-#[derive(Debug, Clone, Copy)]
-struct AitEntry {
-    tag: u64,
-    last_use: u64,
+    table: SetAssoc,
 }
 
 impl AitCache {
     /// Creates a cache covering `coverage_bytes` of address space with the
-    /// given associativity.
+    /// given associativity. A coverage smaller than one set still gets
+    /// one set.
     ///
     /// # Panics
     ///
-    /// Panics if the geometry does not divide into at least one set.
+    /// Panics if `ways` is not in `1..=24`.
     pub fn new(coverage_bytes: u64, ways: usize) -> Self {
-        let entries = (coverage_bytes / AIT_GRANULE_BYTES).max(1) as usize;
+        let entries = (coverage_bytes / AIT_GRANULE_BYTES).max(1);
         assert!(ways > 0, "AIT associativity must be positive");
-        let num_sets = (entries / ways).max(1);
         AitCache {
-            sets: vec![Vec::with_capacity(ways); num_sets],
-            ways,
-            hits: 0,
-            misses: 0,
-            tick: 0,
+            table: SetAssoc::new((entries / ways as u64).max(1), ways),
         }
     }
 
@@ -55,55 +43,28 @@ impl AitCache {
     ///
     /// Returns `true` on a hit.
     pub fn access(&mut self, addr: Addr) -> bool {
-        self.tick += 1;
         let granule = addr.0 / AIT_GRANULE_BYTES;
-        let num_sets = self.sets.len() as u64;
-        let set_idx = (granule % num_sets) as usize;
-        let tag = granule / num_sets;
-        let ways = self.ways;
-        let tick = self.tick;
-        let set = &mut self.sets[set_idx];
-
-        if let Some(e) = set.iter_mut().find(|e| e.tag == tag) {
-            e.last_use = tick;
-            self.hits += 1;
+        if self.table.access(granule, false) {
             return true;
         }
-        self.misses += 1;
-        if set.len() < ways {
-            set.push(AitEntry {
-                tag,
-                last_use: tick,
-            });
-        } else if let Some(victim) = set.iter_mut().min_by_key(|e| e.last_use) {
-            // The set is at capacity here, so a victim always exists.
-            *victim = AitEntry {
-                tag,
-                last_use: tick,
-            };
-        }
+        self.table.fill(granule, false);
         false
     }
 
     /// Returns the hit/miss counters observed so far.
     pub fn counters(&self) -> HitMiss {
-        HitMiss::of(self.hits, self.misses)
+        self.table.counters()
     }
 
     /// Clears statistics only; cached entries (and their LRU ordering)
     /// stay warm.
     pub fn reset_stats(&mut self) {
-        self.hits = 0;
-        self.misses = 0;
+        self.table.reset_stats();
     }
 
     /// Clears contents and statistics.
     pub fn reset(&mut self) {
-        for set in &mut self.sets {
-            set.clear();
-        }
-        self.reset_stats();
-        self.tick = 0;
+        self.table.reset();
     }
 }
 

@@ -2,31 +2,50 @@
 //!
 //! Experiments sweep working sets from 4 KB to 1 GB inside a much larger
 //! simulated physical address space, so the functional image is stored
-//! sparsely: a hash map from 4 KB-aligned page numbers to owned page
-//! buffers. Unwritten memory reads as zero, matching freshly-allocated DAX
-//! pages.
+//! sparsely: an [`AddrMap`] from 64 KB chunk numbers to zeroed chunk
+//! buffers, each with a mask of the 4 KB pages written in it. Unwritten
+//! memory reads as zero, matching freshly-allocated DAX pages.
+//!
+//! Pages stay the unit of the store's contents: a page is resident once
+//! any byte of it is written, and [`SparseStore::sorted_pages`] and
+//! [`SparseStore::install_page`] move whole pages, so snapshot and
+//! crash-image encodings do not depend on the chunk size. Chunks only
+//! make the index 16 times smaller and the buffers 16 times fewer.
 
 use simbase::{Addr, AddrMap};
 
-/// Size of one allocation unit in the sparse store.
+/// Size of one page, the unit of residency and of snapshots.
 const PAGE_BYTES: u64 = 4096;
+
+/// Pages per chunk, one bit each in [`Chunk::written`].
+const CHUNK_PAGES: u64 = 16;
+
+/// Size of one allocation unit.
+const CHUNK_BYTES: u64 = PAGE_BYTES * CHUNK_PAGES;
+
+/// One allocation unit: 16 pages and which of them have been written.
+/// Unwritten pages of a chunk are zero.
+#[derive(Debug, Clone)]
+struct Chunk {
+    written: u16,
+    bytes: Box<[u8]>,
+}
 
 /// A sparse, byte-addressable memory image.
 ///
 /// Used both as the persistent media image (the bytes that survive a crash)
 /// and as the volatile DRAM image in the machine model.
-///
-/// Page buffers live in an arena (`slabs`) addressed through an
-/// [`AddrMap`] index, so finding a page is one hash probe.
 #[derive(Debug, Default, Clone)]
 pub struct SparseStore {
-    /// Page number → arena slot. Whole-index reads go through
-    /// `AddrMap`'s page-number-ordered accessors, so snapshot encodings
+    /// Chunk number → index into `chunks`. Whole-index reads go through
+    /// `AddrMap`'s chunk-number-ordered accessors, so snapshot encodings
     /// are identical across processes.
     index: AddrMap<usize>,
-    /// Page buffers, in first-touch order. Never iterated directly:
-    /// everything order-sensitive goes through `index`.
-    slabs: Vec<Box<[u8; PAGE_BYTES as usize]>>,
+    /// Chunks, in first-touch order. Never iterated directly: everything
+    /// order-sensitive goes through `index`.
+    chunks: Vec<Chunk>,
+    /// Written pages over all chunks.
+    pages: usize,
 }
 
 impl SparseStore {
@@ -35,47 +54,60 @@ impl SparseStore {
         Self::default()
     }
 
-    /// Returns the arena slot of `page`, allocating a zeroed page if
-    /// absent.
+    /// Returns chunk `number`, allocating a zeroed one if absent.
     #[inline]
-    fn slot_of_mut(&mut self, page: u64) -> usize {
-        *self.index.get_or_insert_with(page, || {
-            self.slabs.push(Box::new([0u8; PAGE_BYTES as usize]));
-            self.slabs.len() - 1
-        })
+    fn chunk_mut(&mut self, number: u64) -> &mut Chunk {
+        let i = *self.index.get_or_insert_with(number, || {
+            self.chunks.push(Chunk {
+                written: 0,
+                bytes: vec![0; CHUNK_BYTES as usize].into_boxed_slice(),
+            });
+            self.chunks.len() - 1
+        });
+        &mut self.chunks[i]
+    }
+
+    /// Calls `f(chunk number, offset, piece)` for the pieces `len` bytes
+    /// from `addr` split into at chunk boundaries, `piece` being the
+    /// range of `0..len` that falls in the chunk.
+    #[inline]
+    fn split(addr: Addr, len: usize, mut f: impl FnMut(u64, usize, std::ops::Range<usize>)) {
+        let mut done = 0;
+        while done < len {
+            let pos = addr.0 + done as u64;
+            let offset = (pos % CHUNK_BYTES) as usize;
+            let n = (len - done).min(CHUNK_BYTES as usize - offset);
+            f(pos / CHUNK_BYTES, offset, done..done + n);
+            done += n;
+        }
     }
 
     /// Reads `buf.len()` bytes starting at `addr`.
     pub fn read(&self, addr: Addr, buf: &mut [u8]) {
-        let mut pos = addr.0;
-        let mut remaining: &mut [u8] = buf;
-        while !remaining.is_empty() {
-            let page = pos / PAGE_BYTES;
-            let offset = (pos % PAGE_BYTES) as usize;
-            let chunk = remaining.len().min(PAGE_BYTES as usize - offset);
-            let (head, tail) = remaining.split_at_mut(chunk);
-            match self.index.get(page) {
-                Some(&s) => head.copy_from_slice(&self.slabs[s][offset..offset + chunk]),
-                None => head.fill(0),
+        Self::split(addr, buf.len(), |number, offset, piece| {
+            let out = &mut buf[piece];
+            match self.index.get(number) {
+                Some(&i) => out.copy_from_slice(&self.chunks[i].bytes[offset..offset + out.len()]),
+                None => out.fill(0),
             }
-            remaining = tail;
-            pos += chunk as u64;
-        }
+        });
     }
 
     /// Writes `buf` starting at `addr`.
     pub fn write(&mut self, addr: Addr, buf: &[u8]) {
-        let mut pos = addr.0;
-        let mut remaining = buf;
-        while !remaining.is_empty() {
-            let page = pos / PAGE_BYTES;
-            let offset = (pos % PAGE_BYTES) as usize;
-            let chunk = remaining.len().min(PAGE_BYTES as usize - offset);
-            let slot = self.slot_of_mut(page);
-            self.slabs[slot][offset..offset + chunk].copy_from_slice(&remaining[..chunk]);
-            remaining = &remaining[chunk..];
-            pos += chunk as u64;
-        }
+        Self::split(addr, buf.len(), |number, offset, piece| {
+            let data = &buf[piece];
+            let first = offset as u64 / PAGE_BYTES;
+            let last = (offset + data.len() - 1) as u64 / PAGE_BYTES;
+            let pages = (u16::MAX >> (CHUNK_PAGES - 1 - last + first)) << first;
+            let chunk = self.chunk_mut(number);
+            chunk.bytes[offset..offset + data.len()].copy_from_slice(data);
+            let fresh = pages & !chunk.written;
+            if fresh != 0 {
+                chunk.written |= fresh;
+                self.pages += fresh.count_ones() as usize;
+            }
+        });
     }
 
     /// Reads a little-endian `u64` at `addr`.
@@ -90,22 +122,29 @@ impl SparseStore {
         self.write(addr, &value.to_le_bytes());
     }
 
-    /// Returns the number of resident (allocated) pages.
+    /// Returns the number of resident (written) pages.
     pub fn resident_pages(&self) -> usize {
-        self.index.len()
+        self.pages
     }
 
-    /// Size in bytes of one allocation unit, for page-level snapshots.
+    /// Size in bytes of one page, for page-level snapshots.
     pub const PAGE_BYTES: u64 = PAGE_BYTES;
 
     /// Returns `(page_number, contents)` for every resident page, sorted
     /// by page number so snapshot encodings are deterministic.
     pub fn sorted_pages(&self) -> Vec<(u64, &[u8])> {
-        self.index
-            .sorted_entries()
-            .into_iter()
-            .map(|(n, &s)| (n, self.slabs[s].as_slice()))
-            .collect()
+        let mut pages = Vec::with_capacity(self.pages);
+        for (number, &i) in self.index.sorted_entries() {
+            let chunk = &self.chunks[i];
+            let mut written = chunk.written;
+            while written != 0 {
+                let page = written.trailing_zeros() as usize;
+                written &= written - 1;
+                let bytes = &chunk.bytes[page * PAGE_BYTES as usize..][..PAGE_BYTES as usize];
+                pages.push((number * CHUNK_PAGES + page as u64, bytes));
+            }
+        }
+        pages
     }
 
     /// Installs a full page at `page_number` (inverse of
@@ -120,14 +159,19 @@ impl SparseStore {
             PAGE_BYTES,
             "a page is exactly {PAGE_BYTES} bytes"
         );
-        let slot = self.slot_of_mut(page_number);
-        self.slabs[slot].copy_from_slice(contents);
+        let page = (page_number % CHUNK_PAGES) as usize;
+        let chunk = self.chunk_mut(page_number / CHUNK_PAGES);
+        chunk.bytes[page * PAGE_BYTES as usize..][..PAGE_BYTES as usize].copy_from_slice(contents);
+        let fresh = chunk.written & 1 << page == 0;
+        chunk.written |= 1 << page;
+        self.pages += usize::from(fresh);
     }
 
     /// Drops all contents, returning the store to all-zero.
     pub fn clear(&mut self) {
         self.index.clear();
-        self.slabs.clear();
+        self.chunks.clear();
+        self.pages = 0;
     }
 }
 

@@ -9,6 +9,8 @@
 //! - [`addrmap`]: [`AddrMap`], the deterministic O(1) container for
 //!   per-cacheline and per-page simulator state,
 //! - [`clock`]: simulated time in CPU cycles,
+//! - [`setassoc`]: [`SetAssoc`], the set-associative LRU table behind
+//!   the CPU caches and the on-DIMM AIT cache,
 //! - [`rng`]: a deterministic SplitMix64 generator so every experiment is
 //!   bit-reproducible,
 //! - [`resource`]: server-queue primitives used to model contention on
@@ -24,6 +26,7 @@ pub mod addrmap;
 pub mod clock;
 pub mod resource;
 pub mod rng;
+pub mod setassoc;
 pub mod stats;
 pub mod wire;
 
@@ -32,5 +35,6 @@ pub use addrmap::{AddrMap, ADDR_MAP_GC_MIN};
 pub use clock::Cycles;
 pub use resource::{BandwidthGate, QueueStats, Server, ServerPool};
 pub use rng::SplitMix64;
+pub use setassoc::{Evicted, SetAssoc};
 pub use stats::{ByteCounter, Counter, HitMiss, LatencyStats};
 pub use wire::{WireError, WireReader, WireWriter};

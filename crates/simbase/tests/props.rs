@@ -1,11 +1,14 @@
 //! Property tests for the foundation types.
 
+mod lru_model;
+
 use std::collections::BTreeMap;
 
+use lru_model::ModelLru;
 use proptest::prelude::*;
 use simbase::{
-    Addr, AddrMap, BandwidthGate, Server, ServerPool, SplitMix64, ADDR_MAP_GC_MIN, CACHELINE_BYTES,
-    XPLINE_BYTES,
+    Addr, AddrMap, BandwidthGate, HitMiss, Server, ServerPool, SetAssoc, SplitMix64,
+    ADDR_MAP_GC_MIN, CACHELINE_BYTES, XPLINE_BYTES,
 };
 
 /// One step of an `AddrMap` script: `(op, page_key, key_index, value)`.
@@ -37,7 +40,174 @@ fn model_collect(
     true
 }
 
+/// The machine's PM and DRAM address-space bases (`optane_core::PM_BASE`
+/// and `DRAM_BASE`), as cacheline numbers.
+const PM_BASE_LINE: u64 = 0x0000_1000_0000_0000 / 64;
+const DRAM_BASE_LINE: u64 = 0x0000_2000_0000_0000 / 64;
+
+/// Items per `SetAssoc` script pool: 32 per region, more than the widest
+/// (20-way) set holds.
+const POOL: u64 = 128;
+
+/// Item `i` of a pool of four regions: line 0, the PM and DRAM bases and
+/// the top of the line space. A region's items lie `sets` apart, so each
+/// region crowds one set whatever the set count, and its tags run from
+/// the empty tag's neighbour (item 0) to the widest (the top).
+fn pool_item(sets: u64, i: u64) -> u64 {
+    let k = i / 4 * sets;
+    match i % 4 {
+        0 => k,
+        1 => PM_BASE_LINE + k,
+        2 => DRAM_BASE_LINE + k,
+        _ => u64::MAX / 64 - k,
+    }
+}
+
+/// Returns `true` if `item`'s tag (`item / sets + 1`) needs 64 bits.
+fn is_wide_item(sets: u64, item: u64) -> bool {
+    item / sets >= u64::from(u32::MAX)
+}
+
+/// Fills `item` into both tables and checks the victims agree.
+fn fill_both(table: &mut SetAssoc, model: &mut ModelLru, item: u64, dirty: bool) {
+    let got = table.fill(item, dirty).map(|e| (e.item, e.dirty));
+    assert_eq!(got, model.fill(item, dirty), "victim of filling {item:#x}");
+}
+
+/// Runs `ops` (`(kind, pool index, dirty)`) against a table of `sets` x
+/// `ways` and the model, checking every result, the occupancy and the
+/// counters as it goes. `kind` is a percentage: fills and accesses
+/// dominate, so sets fill up and evict between the rare drains (98) and
+/// resets (99). The first half of the script uses only items with narrow
+/// tags; then a wide tag arrives, and a table of up to 12 ways, which
+/// starts narrow, must widen keeping every resident item's slot; the
+/// second half uses the whole pool.
+fn check_against_model(sets: u64, ways: usize, ops: &[(u64, u64, bool)]) {
+    let mut table = SetAssoc::new(sets, ways);
+    let mut model = ModelLru::new(sets, ways);
+    let starts_wide = ways > 12;
+    assert_eq!(table.is_wide(), starts_wide);
+    let widen_at = ops.len() / 2;
+    for (n, &(kind, i, dirty)) in ops.iter().enumerate() {
+        if n == widen_at {
+            assert_eq!(
+                table.is_wide(),
+                starts_wide,
+                "narrow items widened the table"
+            );
+            let slots: Vec<_> = (0..POOL)
+                .map(|i| table.slot_of(pool_item(sets, i)))
+                .collect();
+            fill_both(&mut table, &mut model, pool_item(sets, 3), true);
+            assert!(table.is_wide(), "a tag >= 2^32 widens the table");
+            for (i, slot) in (0..POOL).zip(slots) {
+                let item = pool_item(sets, i);
+                if item != pool_item(sets, 3) && model.peek(item) {
+                    assert_eq!(table.slot_of(item), slot, "slot of {item:#x} moved");
+                }
+            }
+        }
+        let mut item = pool_item(sets, i);
+        if n < widen_at && is_wide_item(sets, item) {
+            item = pool_item(sets, i / 4 * 4);
+        }
+        match kind {
+            0..=44 => fill_both(&mut table, &mut model, item, dirty),
+            45..=69 => assert_eq!(table.access(item, dirty), model.access(item, dirty)),
+            70..=74 => {
+                // The repeat path: a slot lookup, then a slot-checked
+                // touch that must count and refresh like a clean access.
+                let slot = table.slot_of(item);
+                assert_eq!(slot.is_some(), model.peek(item));
+                match slot {
+                    Some(slot) => {
+                        assert!(table.touch(slot, item));
+                        assert!(model.access(item, false));
+                    }
+                    None => assert!(!table.touch(i as usize % ways, item)),
+                }
+            }
+            75..=82 => assert_eq!(table.peek(item), model.peek(item)),
+            83..=90 => assert_eq!(table.invalidate(item), model.invalidate(item)),
+            91..=97 => assert_eq!(table.clean(item), model.clean(item)),
+            98 => {
+                let mut got = table.drain_dirty();
+                got.sort();
+                assert_eq!(got, model.drain_dirty());
+            }
+            _ => {
+                table.reset();
+                model.reset();
+                assert_eq!(
+                    table.is_wide(),
+                    starts_wide,
+                    "reset returns to the first width"
+                );
+                assert_eq!(table.footprint(), 0, "reset drops the table");
+            }
+        }
+        assert_eq!(table.len(), model.len());
+        assert_eq!(table.is_empty(), model.len() == 0);
+        assert_eq!(table.counters(), HitMiss::of(model.hits, model.misses));
+    }
+    // Final residency agrees.
+    for i in 0..POOL {
+        let item = pool_item(sets, i);
+        assert_eq!(table.peek(item), model.peek(item), "item {item:#x}");
+    }
+}
+
+#[test]
+fn a_table_that_was_never_filled_misses_everything() {
+    // The table is allocated by the first fill; before it, and after a
+    // reset drops it, every query must answer as for an empty table.
+    let sets = 40_000;
+    let mut table = SetAssoc::new(sets, 11);
+    for _ in 0..2 {
+        for i in 0..POOL {
+            let item = pool_item(sets, i);
+            assert!(!table.peek(item));
+            assert_eq!(table.slot_of(item), None);
+            assert!(!table.touch(i as usize, item));
+            assert_eq!(table.invalidate(item), None);
+            assert_eq!(table.clean(item), None);
+        }
+        assert!(table.is_empty());
+        assert!(table.drain_dirty().is_empty());
+        assert_eq!(table.counters(), HitMiss::new());
+        assert_eq!(table.footprint(), 0);
+        table.fill(pool_item(sets, 3), true);
+        assert!(table.peek(pool_item(sets, 3)));
+        table.reset();
+    }
+    assert!(!table.access(1, false), "a miss is counted");
+    assert_eq!(table.counters(), HitMiss::of(0, 1));
+}
+
 proptest! {
+    #[test]
+    fn cache_matches_lru_model(
+        ops in prop::collection::vec((0u64..100, 0u64..POOL, any::<bool>()), 1..300),
+    ) {
+        // 4 sets x 4 ways, and a non-power-of-two 5 sets x 3 ways: small
+        // enough to stress eviction constantly.
+        check_against_model(4, 4, &ops);
+        check_against_model(5, 3, &ops);
+        // The associativities the G1 and G2 hierarchies configure, at one
+        // and two sets.
+        for ways in [8, 11, 12, 16, 20] {
+            for sets in [1, 2] {
+                check_against_model(sets, ways, &ops);
+            }
+        }
+        // The real geometries: L1 32 KiB/8-way and 48 KiB/12-way, L2
+        // 1 MiB/16-way and 1.25 MiB/20-way, L3 27.5 MB/11-way and
+        // 36 MiB/12-way.
+        for (sets, ways) in [(64, 8), (64, 12), (1024, 16), (1024, 20), (40_000, 11), (49_152, 12)] {
+            check_against_model(sets, ways, &ops);
+        }
+    }
+
     #[test]
     fn addr_rounding_is_idempotent_and_ordered(a in any::<u64>()) {
         let addr = Addr(a);
